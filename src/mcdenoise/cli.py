@@ -97,6 +97,10 @@ def _warn_divisibility(extents):
 
 def cmd_phantom(args) -> int:
     started = time.time()
+    if args.pairs < 2 or args.pairs % 2:
+        # training draws input/target pairs from consecutive realizations
+        print(f"error: --pairs must be even and at least 2, got {args.pairs}", file=sys.stderr)
+        return EXIT_USAGE
     extents = parse_extents(args.extents)
     _warn_divisibility(extents)
     out = _ensure_out(args.out)
@@ -340,6 +344,11 @@ def cmd_bench(args) -> int:
     print(perf.BENCH_CSV_HEADER)
     for row in rows:
         print(row.csv())
+    medians = {row.module: row.median_ms for row in rows}
+    print(
+        f"decoupled/regular median time ratio {medians['decoupled'] / medians['regular3d']:.4f}, "
+        f"analytic MAC ratio 7/9 = {perf.module_mac_ratio(3):.4f}"
+    )
     if args.out:
         out = _ensure_out(args.out)
         with open(os.path.join(out, "bench.csv"), "w") as fh:
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_FORMATS_EPILOG,
     )
     p.add_argument("--cases", type=int, default=8, help="number of randomized cases")
-    p.add_argument("--pairs", type=int, default=2, help="noisy realizations per case")
+    p.add_argument("--pairs", type=int, default=2, help="noisy realizations per case; even and >= 2, since training pairs them")
     p.add_argument("--histories", type=int, default=2, help="simulated history count (low counts mean strong noise)")
     p.add_argument("--extents", default="32x32x16", help="grid extents HxWxD")
     p.add_argument("--seed", type=int, default=0)

@@ -3,9 +3,12 @@
 All kernels take and return 5-D tensors laid out (B, C, H, W, D) and
 record backward rules on the tape. Convolutions use cross-correlation
 semantics (no kernel flip) with weights stored output-major as
-[c_out, c_in, k_h, k_w, k_d]. Unless explicit padding is given, a conv
-pads (k - 1) // 2 zeros per dimension so stride-1 convs preserve extents
-and stride-2 convs halve them.
+[c_out, c_in, k_h, k_w, k_d]. A conv pads (k - 1) // 2 zeros per
+dimension, so stride-1 convs preserve extents and stride-2 convs halve
+them. Every conv runs through ``conv3d``, which splits the padded input
+by stride phase once and then reads each kernel tap as a contiguous
+column slice of one phase: the taps become GEMMs on the input in place,
+in the forward and in the backward pass.
 
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
@@ -114,9 +117,11 @@ def make_conv_spec(c_in, c_out, kernel, stride, rng: np.random.Generator) -> Con
     return ConvSpec(c_in, c_out, kernel, tuple(stride), w, b)
 
 
-def conv_output_extents(extents, kernel, stride, padding) -> tuple[int, int, int]:
+def conv_output_extents(extents, kernel, stride) -> tuple[int, int, int]:
+    """Output extents of a conv that pads (k - 1) // 2 zeros per side."""
     out = []
-    for n, k, s, p in zip(extents, kernel, stride, padding):
+    for n, k, s in zip(extents, kernel, stride):
+        p = (k - 1) // 2
         span = n + 2 * p - k
         if span < 0:
             raise ContractError(f"kernel {kernel} larger than padded extent {n + 2 * p}")
@@ -124,81 +129,219 @@ def conv_output_extents(extents, kernel, stride, padding) -> tuple[int, int, int
     return tuple(out)
 
 
-def conv3d(x: Tensor, spec: ConvSpec, padding=None) -> Tensor:
-    """Direct strided cross-correlation over (H, W, D).
+class _PhaseGrid:
+    """Stride-phase split of a zero-padded volume, shared by a conv's passes.
 
-    The inner loop runs over kernel taps; each tap is one channel-mixing
-    contraction over a strided view of the padded input, so the work is
-    vectorized over every output voxel.
+    Along an axis of extent n with kernel k and stride s, the input padded
+    by p = (k - 1) // 2 is rounded up to nq * s voxels and split into the
+    phases ``padded[a::s]`` (a < min(k, s); other phases feed no tap), each
+    of extent nq. Padded index o * s + i lies in phase i % s at o + i // s,
+    so on the (hq, wq, dq) grid flattened row-major tap (i, j, k) reads its
+    phase at the fixed column offset ((i//sh)*wq + j//sw)*dq + k//sd. The
+    batch is flattened behind the grid, giving each phase matrix shape
+    (c_in, batch * hq * wq * dq), so a tap is one GEMM on a contiguous
+    column slice. Outputs are computed on the grid's first ``cols``
+    columns; the valid ones sit at grid positions below the output extents
+    and every other column is cropped.
+    """
+
+    def __init__(self, batch, extents, kernel, stride):
+        self.batch = batch
+        self.extents = tuple(extents)
+        self.out = conv_output_extents(extents, kernel, stride)
+        # padded extent n + 2p, rounded up to a multiple of the stride
+        self.grid = tuple(-(-(n + k - 1) // s) for n, k, s in zip(extents, kernel, stride))
+        hq, wq, dq = self.grid
+        self.size = hq * wq * dq
+        phases = [range(min(k, s)) for k, s in zip(kernel, stride)]
+        self.phases = [(a, b, c) for a in phases[0] for b in phases[1] for c in phases[2]]
+        # (phase index, column offset) per tap, in (i, j, k) row-major order
+        self.taps = [
+            (
+                self.phases.index((i % stride[0], j % stride[1], k % stride[2])),
+                ((i // stride[0]) * wq + j // stride[1]) * dq + k // stride[2],
+            )
+            for i in range(kernel[0])
+            for j in range(kernel[1])
+            for k in range(kernel[2])
+        ]
+        self.cols = batch * self.size - max(off for _, off in self.taps)
+        # per phase: where its voxels lie in the input and on the grid
+        self.slices = []
+        for phase in self.phases:
+            src, dst = [], []
+            for a, n, k, s in zip(phase, extents, kernel, stride):
+                p = (k - 1) // 2
+                q_lo = (p - a + s - 1) // s
+                n_lo = q_lo * s + a - p
+                count = len(range(n_lo, n, s))
+                src.append(slice(n_lo, n, s))
+                dst.append(slice(q_lo, q_lo + count))
+            self.slices.append((tuple(src), tuple(dst)))
+
+    def _grids(self, phases: np.ndarray) -> np.ndarray:
+        return phases.reshape(phases.shape[:2] + (self.batch,) + self.grid)
+
+    def split(self, a: np.ndarray) -> np.ndarray:
+        """[B, C, H, W, D] -> its zero-padded phases, one copy of each voxel."""
+        phases = np.empty((len(self.phases), a.shape[1], self.batch * self.size))
+        channel_major = a.transpose(1, 0, 2, 3, 4)
+        for grid, (src, dst) in zip(self._grids(phases), self.slices):
+            grid[(Ellipsis,) + dst] = channel_major[(Ellipsis,) + src]
+            # only the padding margins are zeroed, not the whole buffer
+            for axis, span in enumerate(dst):
+                lead = (slice(None),) * (2 + axis)
+                grid[lead + (slice(0, span.start),)] = 0.0
+                grid[lead + (slice(span.stop, None),)] = 0.0
+        return phases
+
+    def merge(self, phases: np.ndarray) -> np.ndarray:
+        """Adjoint of ``split``: drop the padding, back to [B, C, H, W, D]."""
+        out = np.zeros((phases.shape[1], self.batch) + self.extents)
+        for grid, (src, dst) in zip(self._grids(phases), self.slices):
+            out[(Ellipsis,) + src] = grid[(Ellipsis,) + dst]
+        return out.transpose(1, 0, 2, 3, 4)
+
+    def tap_views(self, phases: np.ndarray) -> list:
+        """Each tap's [C, cols] operand: a column slice of its phase, not a copy."""
+        return [phases[p, :, off : off + self.cols] for p, off in self.taps]
+
+    def valid(self, cols: np.ndarray) -> np.ndarray:
+        """View [C, B, oh, ow, od] of the valid outputs in a [C, cols] array.
+
+        The last valid position plus the largest tap offset is at most the
+        last grid column, so every valid position lies below ``cols``.
+        """
+        hq, wq, dq = self.grid
+        step = cols.strides[1]
+        return np.lib.stride_tricks.as_strided(
+            cols,
+            shape=(cols.shape[0], self.batch) + self.out,
+            strides=(cols.strides[0], self.size * step, wq * dq * step, dq * step, step),
+        )
+
+
+def _gathers(c_out: int, cols: int) -> bool:
+    """Whether a conv stacks its tap slices into one GEMM instead of a GEMM per tap.
+
+    A GEMM per tap reads the input in place but needs the weights copied
+    into tap-major order (c_out * c_in * taps values). One GEMM over the
+    stacked slices uses the weights in place but copies c_in * taps * cols
+    input values, which is fewer when the grid has no more columns than
+    the conv has output channels: the deep, wide, small-extent levels.
+    """
+    return cols <= c_out
+
+
+def _tap_matrices(w: np.ndarray) -> np.ndarray:
+    """[c_out, c_in, kh, kw, kd] -> contiguous [taps, c_out, c_in], taps row-major."""
+    return np.ascontiguousarray(w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1))
+
+
+# np.matmul is a ufunc and would warn on the floating-point flags BLAS
+# raises (inf * 0 in a padded column); callers check outputs for
+# non-finite values themselves, as model.forward does, so the GEMMs below
+# run under np.errstate(all="ignore").
+
+
+def _tap_sum(w: np.ndarray, views: list) -> np.ndarray:
+    """Sum over taps t of w_t @ views[t]: the conv on the grid, [c_out, cols]."""
+    c_out, cols = w.shape[0], views[0].shape[1]
+    with np.errstate(all="ignore"):
+        if _gathers(c_out, cols):
+            return w.reshape(c_out, -1) @ np.stack(views, axis=1).reshape(-1, cols)
+        w_taps = _tap_matrices(w)
+        acc = np.empty((c_out, cols))
+        tmp = np.empty((c_out, cols))
+        for t, view in enumerate(views):
+            np.matmul(w_taps[t], view, out=acc if t == 0 else tmp)
+            if t:
+                acc += tmp
+    return acc
+
+
+def _tap_sum_weight_grad(g_cols: np.ndarray, views: list, w_shape) -> np.ndarray:
+    """Adjoint of ``_tap_sum`` in w: g_cols @ views[t].T per tap."""
+    c_out, cols = g_cols.shape
+    with np.errstate(all="ignore"):
+        if _gathers(c_out, cols):
+            return (g_cols @ np.stack(views, axis=1).reshape(-1, cols).T).reshape(w_shape)
+        dw = np.empty((len(views), c_out, w_shape[1]))
+        for t, view in enumerate(views):
+            np.matmul(g_cols, view.T, out=dw[t])
+    return dw.transpose(1, 2, 0).reshape(w_shape)
+
+
+def _tap_sum_input_grad(w: np.ndarray, g_cols: np.ndarray, dviews: list):
+    """Adjoint of ``_tap_sum`` in the views: adds w_t.T @ g_cols into dviews[t]."""
+    c_out, c_in = w.shape[:2]
+    cols = g_cols.shape[1]
+    with np.errstate(all="ignore"):
+        if _gathers(c_out, cols):
+            stacked = (w.reshape(c_out, -1).T @ g_cols).reshape(c_in, len(dviews), cols)
+            for t, dview in enumerate(dviews):
+                dview += stacked[:, t]
+            return
+        w_taps = _tap_matrices(w)
+        tmp = np.empty((c_in, cols))
+        for t, dview in enumerate(dviews):
+            np.matmul(w_taps[t].T, g_cols, out=tmp)
+            dview += tmp
+
+
+def conv3d(x: Tensor, spec: ConvSpec) -> Tensor:
+    """Strided cross-correlation over (H, W, D) with "same" zero padding.
+
+    The input is padded and split by stride phase once (see ``_PhaseGrid``),
+    so every kernel tap reads a contiguous column slice of one phase in
+    place. The taps' [c_out, c_in] x [c_in, cols] GEMMs are summed on the
+    phase grid, one GEMM per tap or, on grids with no more columns than
+    output channels, one GEMM over the stacked slices (``_gathers``), and
+    the sum is cropped once to the output extents. The backward pass
+    rebuilds the split from ``x`` and runs the transposed GEMMs on the same
+    slices, with the output gradient zero on the cropped columns.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"conv3d needs a 5-D tensor, got {x.shape}")
     if x.shape[1] != spec.c_in:
         raise ContractError(f"conv3d: input has {x.shape[1]} channels, spec wants {spec.c_in}")
-    kh, kw, kd = spec.kernel
-    sh, sw, sd = spec.stride
-    if padding is None:
-        padding = ((kh - 1) // 2, (kw - 1) // 2, (kd - 1) // 2)
-    ph, pw, pd = (int(p) for p in padding)
-    batch = x.shape[0]
-    extents = x.shape[2:]
-    oh, ow, od = conv_output_extents(extents, spec.kernel, spec.stride, (ph, pw, pd))
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw), (pd, pd)))
-    w = spec.weights.data
-
-    def tap_view(arr, i, j, k):
-        return arr[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw, k : k + od * sd : sd]
-
-    acc = np.zeros((spec.c_out, batch, oh, ow, od))
-    for i in range(kh):
-        for j in range(kw):
-            for k in range(kd):
-                acc += np.tensordot(w[:, :, i, j, k], tap_view(xp, i, j, k), axes=(1, 1))
-    out = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
-    out += spec.bias.data.reshape(1, -1, 1, 1, 1)
+    geo = _PhaseGrid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
+    acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data)))
+    out = np.empty((x.shape[0], spec.c_out) + geo.out)
+    np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), spec.bias.data.reshape(1, -1, 1, 1, 1), out=out)
 
     def _bw(g):
         if spec.bias.requires_grad:
             _accumulate(spec.bias, g.sum(axis=(0, 2, 3, 4)))
-        gm = np.moveaxis(g, 1, 0)  # [c_out, B, oh, ow, od]
+        if not (spec.weights.requires_grad or x.requires_grad):
+            return
+        g_cols = np.zeros((spec.c_out, geo.cols))
+        geo.valid(g_cols)[...] = g.transpose(1, 0, 2, 3, 4)
         if spec.weights.requires_grad:
-            dw = np.zeros(w.shape)
-            for i in range(kh):
-                for j in range(kw):
-                    for k in range(kd):
-                        dw[:, :, i, j, k] = np.tensordot(
-                            gm, tap_view(xp, i, j, k), axes=([1, 2, 3, 4], [0, 2, 3, 4])
-                        )
-            _accumulate(spec.weights, dw)
+            views = geo.tap_views(geo.split(x.data))
+            _accumulate(spec.weights, _tap_sum_weight_grad(g_cols, views, spec.weights.shape))
         if x.requires_grad:
-            dxp = np.zeros(xp.shape)
-            for i in range(kh):
-                for j in range(kw):
-                    for k in range(kd):
-                        tap_view(dxp, i, j, k)[...] += np.moveaxis(
-                            np.tensordot(w[:, :, i, j, k], gm, axes=(0, 0)), 0, 1
-                        )
-            h, wd, dd = extents
-            _accumulate(x, dxp[:, :, ph : ph + h, pw : pw + wd, pd : pd + dd])
+            dphases = np.zeros((len(geo.phases), spec.c_in, geo.batch * geo.size))
+            _tap_sum_input_grad(spec.weights.data, g_cols, geo.tap_views(dphases))
+            _accumulate(x, geo.merge(dphases))
 
     return _result(out, (x, spec.weights, spec.bias), _bw)
 
 
-def conv_axial(x: Tensor, spec: ConvSpec, padding=None) -> Tensor:
+def conv_axial(x: Tensor, spec: ConvSpec) -> Tensor:
     """2-D in-plane convolution: kernel (k, k, 1)."""
     kh, kw, kd = spec.kernel
     if kd != 1 or kh != kw:
         raise ContractError(f"axial conv needs a (k, k, 1) kernel, got {spec.kernel}")
-    return conv3d(x, spec, padding)
+    return conv3d(x, spec)
 
 
-def conv_slice(x: Tensor, spec: ConvSpec, padding=None) -> Tensor:
+def conv_slice(x: Tensor, spec: ConvSpec) -> Tensor:
     """1-D through-plane convolution: kernel (1, 1, k)."""
     kh, kw, _ = spec.kernel
     if kh != 1 or kw != 1:
         raise ContractError(f"slice conv needs a (1, 1, k) kernel, got {spec.kernel}")
-    return conv3d(x, spec, padding)
+    return conv3d(x, spec)
 
 
 # -- instance normalization ----------------------------------------------------
@@ -218,23 +361,34 @@ def instance_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE
     if eps <= 0.0 and n_spatial == 1:
         raise NumericError("instance_norm over a single voxel needs eps > 0")
 
+    # Two volume-sized buffers, each reused once (the squares become xhat,
+    # the centred values the output): the norm is memory-bound, and every
+    # further temporary is one more allocation and pass over the volume.
     mu = x.data.mean(axis=(2, 3, 4), keepdims=True)
     centered = x.data - mu
-    var = np.mean(centered * centered, axis=(2, 3, 4), keepdims=True)
+    xhat = np.square(centered)
+    var = xhat.mean(axis=(2, 3, 4), keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
+    np.multiply(centered, inv_std, out=xhat)
     gamma = scale.data.reshape(1, -1, 1, 1, 1)
-    out = xhat * gamma + shift.data.reshape(1, -1, 1, 1, 1)
+    out = np.multiply(xhat, gamma, out=centered)
+    out += shift.data.reshape(1, -1, 1, 1, 1)
 
     def _bw(g):
         if shift.requires_grad:
             _accumulate(shift, g.sum(axis=(0, 2, 3, 4)))
+        if not (scale.requires_grad or x.requires_grad):
+            return
+        gx = g * xhat
         if scale.requires_grad:
-            _accumulate(scale, (g * xhat).sum(axis=(0, 2, 3, 4)))
+            _accumulate(scale, gx.sum(axis=(0, 2, 3, 4)))
         if x.requires_grad:
             g_mean = g.mean(axis=(2, 3, 4), keepdims=True)
-            gx_mean = (g * xhat).mean(axis=(2, 3, 4), keepdims=True)
-            _accumulate(x, gamma * inv_std * (g - g_mean - xhat * gx_mean))
+            gx_mean = gx.mean(axis=(2, 3, 4), keepdims=True)
+            dx = g - g_mean
+            dx -= np.multiply(xhat, gx_mean, out=gx)
+            dx *= gamma * inv_std
+            _accumulate(x, dx)
 
     return _result(out, (x, scale, shift), _bw)
 

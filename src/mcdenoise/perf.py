@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .kernels import conv3d, instance_norm, make_conv_spec
+from .kernels import conv3d, conv_output_extents, instance_norm, make_conv_spec
 from .model import NetworkGraph
 from .tensor import Tensor, relu
 
@@ -93,17 +93,6 @@ class FlopsReport:
         return "\n".join(lines) + "\n"
 
 
-def _conv_out_extents(extents, spec):
-    out = []
-    for n, k, s in zip(extents, spec.kernel, spec.stride):
-        p = (k - 1) // 2
-        span = n + 2 * p - k
-        if span < 0:
-            raise ContractError(f"extent {n} too small for kernel {spec.kernel}")
-        out.append(span // s + 1)
-    return tuple(out)
-
-
 def count_flops(net: NetworkGraph, input_extents) -> FlopsReport:
     """Propagate shapes through the graph and cost each convolution."""
     input_extents = tuple(int(e) for e in input_extents)
@@ -132,7 +121,7 @@ def count_flops(net: NetworkGraph, input_extents) -> FlopsReport:
             spec = layer.spec
             if spec.c_in != c:
                 raise ContractError(f"layer {layer_id}: channel mismatch {c} vs {spec.c_in}")
-            out_extents = _conv_out_extents(extents, spec)
+            out_extents = conv_output_extents(extents, spec.kernel, spec.stride)
             out = (b, spec.c_out) + out_extents
             flops = conv_flops(spec.c_in, spec.kernel, spec.c_out, out_extents)
             params = spec.n_params
@@ -161,6 +150,18 @@ def count_params(net: NetworkGraph) -> int:
 def decoupling_flops_ratio(k: int = 3) -> float:
     """Per-output-voxel cost of an axial+slice pair relative to one k^3 conv."""
     return (k * k + k) / (k * k * k)
+
+
+def module_mac_ratio(k: int = 3) -> float:
+    """MACs of one decoupled downsampling module relative to one regular module.
+
+    Both modules halve every extent. The decoupled one does it with a
+    stride-(2, 2, 1) (k, k, 1) axial conv followed by a stride-(1, 1, 2)
+    (1, 1, k) slice conv, so its axial conv emits twice the voxels of the
+    module output: per output voxel it costs (k^2 * 2 + k) / k^3, which is
+    (9 * 2 + 3) / 27 = 7/9 at k = 3, not the 4/9 of ``decoupling_flops_ratio``.
+    """
+    return (k * k * 2 + k) / (k * k * k)
 
 
 # -- wall-clock micro-benchmark ----------------------------------------------------

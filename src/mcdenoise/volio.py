@@ -6,6 +6,7 @@ seed, then H*W*D f32 values row-major (depth fastest). DMSK is identical
 except for the magic and values restricted to {0, 1}.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -40,11 +41,19 @@ def _read_volume(path, magic):
             raise FormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(4 * h * w * d)
-        if len(payload) != 4 * h * w * d:
-            raise FormatError(f"{path}: truncated payload")
-        if fh.read(1):
+        expected = 4 * h * w * d
+        # check the claimed extents against the file before allocating for them
+        available = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if available < expected:
+            raise FormatError(
+                f"{path}: truncated payload, header claims {h}x{w}x{d} voxels "
+                f"({expected} bytes) but {available} bytes follow"
+            )
+        if available > expected:
             raise FormatError(f"{path}: trailing bytes")
+        payload = fh.read(expected)
+        if len(payload) != expected:
+            raise FormatError(f"{path}: truncated payload")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(h, w, d)
     return values, (vx, vy, vz), histories, seed
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 
@@ -70,6 +71,16 @@ def test_phantom_divisibility_warning(tmp_path):
 def test_phantom_requires_out(tmp_path):
     proc = run_cli("phantom", "--cases", 1, check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 3])
+def test_phantom_rejects_pairs_not_even(tmp_path, pairs):
+    # training pairs consecutive realizations: 1 gives none, 3 drops one
+    proc = run_cli("phantom", "--cases", 1, "--pairs", pairs, "--extents", "16x16x8",
+                   "--out", tmp_path / "ds", check=False)
+    assert proc.returncode == 2
+    assert "--pairs" in proc.stderr
+    assert not (tmp_path / "ds").exists()
 
 
 def test_phantom_replay_from_manifest(tmp_path):
@@ -149,6 +160,21 @@ def test_denoise_missing_checkpoint_is_data_error(tmp_path):
     assert proc.returncode == 3
 
 
+def test_denoise_forged_volume_header_is_data_error(tmp_path):
+    vol = tmp_path / "forged.dvol"
+    volio.write_dvol(vol, np.zeros((16, 16, 8)), (1, 1, 1), 0, 0)
+    blob = bytearray(vol.read_bytes())
+    blob[8:20] = struct.pack("<III", 65535, 65535, 65535)
+    vol.write_bytes(bytes(blob))
+    net = build_proposed(ScaledConfig(4, 2, (16, 16, 8)), seed=0)
+    save_checkpoint(net, tmp_path / "c.ddpk")
+    proc = run_cli("denoise", "--checkpoint", tmp_path / "c.ddpk", "--input", vol,
+                   "--out", tmp_path / "o", check=False)
+    assert proc.returncode == 3
+    assert "truncated payload" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # -- bench ---------------------------------------------------------------------------
 
 
@@ -160,6 +186,14 @@ def test_bench_csv_output(tmp_path):
     assert len(lines) == 3
     assert all(line.split(",")[3] == "12" for line in lines[1:])
     assert "regular3d" in proc.stdout and "decoupled" in proc.stdout
+
+
+def test_bench_prints_time_ratio_next_to_mac_ratio():
+    proc = run_cli("bench", "--extents", "16x16x8", "--channels", 8, "--repeats", 10)
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 4
+    assert lines[-1].startswith("decoupled/regular median time ratio ")
+    assert lines[-1].endswith("analytic MAC ratio 7/9 = 0.7778")
 
 
 # -- help and usage -----------------------------------------------------------------------

@@ -122,12 +122,30 @@ def test_conv_matches_loop_oracle():
 
 def test_conv_strided_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(1, 2, 6, 6, 4))
-    spec = _spec(rng, 2, 2, (3, 3, 3), (2, 2, 2))
-    got = K.conv3d(Tensor(x), spec).data
-    want = conv3d_loops(x, spec.weights.data, spec.bias.data, (2, 2, 2), (1, 1, 1))
-    assert got.shape == (1, 2, 3, 3, 2)
-    assert np.max(np.abs(got - want)) < 1e-10
+    cases = [
+        # (input shape, c_out, kernel, stride, output shape)
+        ((1, 2, 6, 6, 4), 2, (3, 3, 3), (2, 2, 2), (1, 2, 3, 3, 2)),
+        ((1, 2, 6, 6, 4), 3, (3, 3, 1), (2, 2, 1), (1, 3, 3, 3, 4)),
+        ((1, 2, 4, 4, 6), 3, (1, 1, 3), (1, 1, 2), (1, 3, 4, 4, 3)),
+        # odd extents under stride-2 axes: the padded extents round up
+        ((1, 2, 5, 7, 3), 2, (3, 3, 3), (2, 1, 2), (1, 2, 3, 7, 2)),
+        ((2, 3, 5, 5, 4), 2, (3, 3, 1), (2, 2, 1), (2, 2, 3, 3, 4)),
+        # the deepest paper-width backbone level, 1x1x2 and its 2x2x2 input
+        ((1, 3, 1, 1, 2), 4, (1, 1, 3), (1, 1, 2), (1, 4, 1, 1, 1)),
+        ((1, 3, 2, 2, 2), 4, (3, 3, 1), (2, 2, 1), (1, 4, 1, 1, 2)),
+        ((1, 3, 1, 1, 2), 4, (3, 3, 1), (1, 1, 1), (1, 4, 1, 1, 2)),
+    ]
+    gathered = set()
+    for shape, c_out, kernel, stride, out_shape in cases:
+        x = rng.normal(size=shape)
+        spec = _spec(rng, shape[1], c_out, kernel, stride)
+        got = K.conv3d(Tensor(x), spec).data
+        want = conv3d_loops(x, spec.weights.data, spec.bias.data, stride, [(k - 1) // 2 for k in kernel])
+        assert got.shape == out_shape
+        assert np.max(np.abs(got - want)) < 1e-10
+        geo = K._PhaseGrid(shape[0], shape[2:], kernel, stride)
+        gathered.add(K._gathers(c_out, geo.cols))
+    assert gathered == {True, False}  # a GEMM per tap and one over the stacked taps
 
 
 def test_conv_channel_mismatch():
@@ -277,9 +295,12 @@ def test_gradcheck_conv3d():
 
 def test_gradcheck_conv_strided():
     rng = np.random.default_rng(15)
-    x = _rand(rng, (1, 2, 4, 4, 4), requires_grad=True)
-    spec = _spec(rng, 2, 3, (3, 3, 3), (2, 2, 2))
-    check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
+    # the second input has a mixed stride and few enough grid columns to
+    # stack its taps into one GEMM; the first runs a GEMM per tap
+    for shape, c_out, stride in [((1, 2, 4, 4, 4), 3, (2, 2, 2)), ((1, 2, 2, 3, 2), 5, (2, 1, 2))]:
+        x = _rand(rng, shape, requires_grad=True)
+        spec = _spec(rng, shape[1], c_out, (3, 3, 3), stride)
+        check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
 
 
 def test_gradcheck_axial_and_slice():

@@ -93,6 +93,16 @@ def test_decoupling_ratio_exact():
     assert decoupled / regular == 4 / 9
 
 
+def test_module_mac_ratio_from_counted_modules():
+    assert perf.module_mac_ratio(3) == 7 / 9
+    # the modules perf.bench_modules times, counted at 32x32x16 with 64 channels
+    c, (h, w, d) = 64, (32, 32, 16)
+    axial = perf.conv_flops(c, (3, 3, 1), c, (h // 2, w // 2, d))
+    slice_ = perf.conv_flops(c, (1, 1, 3), c, (h // 2, w // 2, d // 2))
+    regular = perf.conv_flops(c, (3, 3, 3), c, (h // 2, w // 2, d // 2))
+    assert (axial + slice_) / regular == perf.module_mac_ratio(3)
+
+
 def test_report_csv_and_table():
     net = build_proposed(DESK, seed=0)
     report = perf.count_flops(net, (32, 32, 16))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,32 @@ def test_dvol_bad_magic_and_truncation(tmp_path):
         volio.read_dvol(bad)
     with pytest.raises(FormatError):
         volio.read_dmsk(path)  # wrong magic for a mask
+
+
+@pytest.mark.parametrize("kind", ["dvol", "dmsk"])
+def test_volume_payload_checked_against_header(tmp_path, kind):
+    path = tmp_path / f"v.{kind}"
+    if kind == "dvol":
+        volio.write_dvol(path, np.ones((3, 2, 2)), (1, 1, 1), 0, 0)
+    else:
+        volio.write_dmsk(path, np.ones((3, 2, 2)), (1, 1, 1))
+    read = getattr(volio, f"read_{kind}")
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in (1, 4, 4 * 12 - 1, 4 * 12):  # short payloads, down to none
+        bad.write_bytes(blob[:-cut])
+        with pytest.raises(FormatError, match="truncated"):
+            read(bad)
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        read(bad)
+    # a header claiming 65535^3 voxels (about 1 PiB of payload) is refused
+    # from the file size, before anything is allocated for it
+    header = bytearray(blob[: len(blob) - 4 * 12])
+    header[8:20] = struct.pack("<III", 65535, 65535, 65535)
+    bad.write_bytes(bytes(header) + blob[len(header) :])
+    with pytest.raises(FormatError, match="65535x65535x65535"):
+        read(bad)
 
 
 def test_dmsk_roundtrip_and_validation(tmp_path):
