@@ -16,12 +16,15 @@ import time
 import numpy as np
 
 from . import __version__, metrics, perf, phantom, volio
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .model import (
+    PAPER_PROPOSED_CONFIG,
+    PAPER_UNET_CONFIG,
     PROPOSED,
     UNET_BASELINE,
     ScaledConfig,
     build_network,
+    check_divisible,
     load_checkpoint,
 )
 from .training import (
@@ -40,6 +43,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+DESK_NUM_DOWN = 3  # train's default --down
 
 
 def _write_manifest(out_dir, command, resolved: dict, started: float):
@@ -73,25 +78,6 @@ def _ensure_out(path):
     return path
 
 
-def _max_num_down(extents, unshuffled: bool) -> int:
-    best = 0
-    while all(e % 2 ** (best + 1 + (1 if unshuffled else 0)) == 0 for e in extents):
-        best += 1
-    return best
-
-
-def _warn_divisibility(extents):
-    usable = _max_num_down(extents, unshuffled=True)
-    if usable < 3:
-        print(
-            f"warning: extents {'x'.join(str(e) for e in extents)} support at most "
-            f"num_down={usable} for the lightweight model (needs divisibility by "
-            f"2^(num_down+1)); the desk default is num_down=3, which needs all "
-            f"extents divisible by 16",
-            file=sys.stderr,
-        )
-
-
 # -- phantom --------------------------------------------------------------------
 
 
@@ -102,7 +88,11 @@ def cmd_phantom(args) -> int:
         print(f"error: --pairs must be even and at least 2, got {args.pairs}", file=sys.stderr)
         return EXIT_USAGE
     extents = parse_extents(args.extents)
-    _warn_divisibility(extents)
+    try:
+        check_divisible(PROPOSED, DESK_NUM_DOWN, extents, ConfigError)
+    except ConfigError as exc:
+        print(f"warning: {exc}; train rejects these extents at its default --down "
+              f"{DESK_NUM_DOWN}", file=sys.stderr)
     out = _ensure_out(args.out)
     phantom.generate_dataset(
         out,
@@ -306,7 +296,8 @@ def hash_case(case_id: str) -> int:
 def cmd_analyze(args) -> int:
     started = time.time()
     extents = parse_extents(args.extents)
-    down = args.down if args.down is not None else (5 if args.model == PROPOSED else 6)
+    paper = PAPER_PROPOSED_CONFIG if args.model == PROPOSED else PAPER_UNET_CONFIG
+    down = paper.num_down if args.down is None else args.down
     cfg = ScaledConfig(args.features, down, extents)
     net = build_network(args.model, cfg, seed=0)
     report = perf.count_flops(net, extents)
@@ -338,9 +329,7 @@ def cmd_analyze(args) -> int:
 def cmd_bench(args) -> int:
     started = time.time()
     extents = parse_extents(args.extents)
-    rows = perf.bench_modules(
-        extents, channels=args.channels, repeats=args.repeats, seed=args.seed, workers=args.workers
-    )
+    rows = perf.bench_modules(extents, channels=args.channels, repeats=args.repeats, seed=args.seed)
     print(perf.BENCH_CSV_HEADER)
     for row in rows:
         print(row.csv())
@@ -362,7 +351,7 @@ def cmd_bench(args) -> int:
                 "extents": args.extents,
                 "channels": args.channels,
                 "repeats": args.repeats,
-                "workers": args.workers,
+                "blas_threads": "" if rows[0].workers is None else rows[0].workers,
                 "seed": args.seed,
                 "out": out,
             },
@@ -411,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--model", choices=[PROPOSED, UNET_BASELINE], default=PROPOSED)
     p.add_argument("--features", type=int, default=8, help="base feature count")
-    p.add_argument("--down", type=int, default=3, help="downsampling module count")
+    p.add_argument("--down", type=int, default=DESK_NUM_DOWN, help="downsampling module count")
     p.add_argument("--config", help="key=value TrainConfig file; flags win")
     p.add_argument("--iterations", type=int)
     p.add_argument("--lr", type=float)
@@ -445,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--model", choices=[PROPOSED, UNET_BASELINE], default=PROPOSED)
     p.add_argument("--features", type=int, default=64)
-    p.add_argument("--down", type=int, default=None, help="defaults to 5 (lightweight) or 6 (unet)")
+    p.add_argument("--down", type=int, default=None, help="defaults to the paper depth of --model")
     p.add_argument("--extents", default="256x256x64")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
@@ -455,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extents", default="32x32x16")
     p.add_argument("--channels", type=int, default=64)
     p.add_argument("--repeats", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

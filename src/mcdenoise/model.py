@@ -1,9 +1,12 @@
 """Builders for the lightweight pyramid denoiser and the 3D UNet baseline.
 
 Both networks are expressed as a flat layer list with explicit wiring:
-each layer names the layers it consumes (index -1 is the network input),
-so the same graph drives the forward pass, parameter iteration,
-checkpointing, and the analytic complexity counters.
+each layer names the layers it consumes (index -1 is the network input).
+``walk`` feeds each layer its producers' values in layer order together
+with the layer's entry in ``LAYER_RULES``, the one table of how each kind
+applies to tensors and to shapes: ``forward`` walks tensors and
+``perf.count_flops`` walks shapes. Parameter iteration and checkpointing
+use the same layer list.
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -25,6 +28,7 @@ decoder/pyramid convs emit the channel count of the skip they join.
 """
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +37,14 @@ from .errors import ConfigError, ContractError, FormatError, NumericError, Shape
 from .kernels import (
     ConvSpec,
     conv3d,
+    conv_output_extents,
     instance_norm,
     make_conv_spec,
     upsample_trilinear,
     voxel_shuffle,
     voxel_unshuffle,
 )
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, relu
 
 PROPOSED = "proposed"
 UNET_BASELINE = "unet-baseline"
@@ -73,7 +78,7 @@ PAPER_UNET_CONFIG = ScaledConfig(64, 6, (256, 256, 64))
 
 @dataclass
 class Layer:
-    kind: str  # unshuffle | conv | inorm | relu | upsample | concat | shuffle
+    kind: str  # a key of LAYER_RULES
     inputs: tuple[int, ...]  # producer layer ids; -1 is the network input
     spec: ConvSpec | None = None
     scale: Tensor | None = None
@@ -103,17 +108,22 @@ class NetworkGraph:
     def param_tensors(self) -> list[Tensor]:
         return [t for _, _, t in self.parameters()]
 
-    @property
-    def divisor(self) -> int:
-        extra = 1 if self.name == PROPOSED else 0
-        return 2 ** (self.cfg.num_down + extra)
 
-    def check_extents(self, extents):
-        if any(e % self.divisor or e < self.divisor for e in extents):
-            raise ShapeError(
-                f"{self.name} with num_down={self.cfg.num_down} needs extents "
-                f"divisible by {self.divisor}, got {tuple(extents)}"
-            )
+def divisor(name: str, num_down: int) -> int:
+    """Input extents must be multiples of this: each downsampling module
+    halves them, and the proposed net's voxel unshuffle halves them once more."""
+    extra = 1 if name == PROPOSED else 0
+    return 2 ** (num_down + extra)
+
+
+def check_divisible(name: str, num_down: int, extents, error: type[Exception]):
+    """Raise ``error`` unless every extent is a positive multiple of ``divisor``."""
+    div = divisor(name, num_down)
+    if any(e % div or e < div for e in extents):
+        raise error(
+            f"{name} with num_down={num_down} needs extents divisible by {div}, "
+            f"got {tuple(extents)}"
+        )
 
 
 def _feature_plan(base: int, num_down: int) -> list[int]:
@@ -141,19 +151,9 @@ class _GraphBuilder:
         return self.add("relu", n, stage)
 
 
-def _check_divisibility(name, cfg):
-    extra = 1 if name == PROPOSED else 0
-    div = 2 ** (cfg.num_down + extra)
-    if any(e % div or e < div for e in cfg.input_extents):
-        raise ConfigError(
-            f"{name} with num_down={cfg.num_down} needs input extents divisible "
-            f"by {div}, got {cfg.input_extents}"
-        )
-
-
 def build_proposed(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     """Unshuffle front end, decoupled-conv backbone, feature pyramid, shuffle head."""
-    _check_divisibility(PROPOSED, cfg)
+    check_divisible(PROPOSED, cfg.num_down, cfg.input_extents, ConfigError)
     b = _GraphBuilder(PROPOSED, cfg, seed)
     feats = _feature_plan(cfg.base_features, cfg.num_down)
 
@@ -189,7 +189,7 @@ def build_proposed(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
 
 def build_unet_baseline(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     """Classic encoder-decoder with 3x3x3 convs and concatenation skips."""
-    _check_divisibility(UNET_BASELINE, cfg)
+    check_divisible(UNET_BASELINE, cfg.num_down, cfg.input_extents, ConfigError)
     b = _GraphBuilder(UNET_BASELINE, cfg, seed)
     feats = _feature_plan(cfg.base_features, cfg.num_down)
 
@@ -224,6 +224,54 @@ def build_network(name: str, cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     raise ConfigError(f"unknown network name {name!r}")
 
 
+# -- the layer table and its walker -----------------------------------------------
+
+LayerRule = namedtuple("LayerRule", "apply shape")
+
+
+def _regrid(shape, channels, num, den):
+    return (shape[0], channels) + tuple(e * num // den for e in shape[2:])
+
+
+def _conv_shape(layer, shapes):
+    b, c, *extents = shapes[0]
+    spec = layer.spec
+    if spec.c_in != c:
+        raise ContractError(f"conv {spec.kernel}: channel mismatch {c} vs {spec.c_in}")
+    return (b, spec.c_out) + conv_output_extents(extents, spec.kernel, spec.stride)
+
+
+# kind -> (apply to the input tensors, output shape from the input shapes). The
+# kernels are named inside the lambdas, not captured, so each call looks them up
+# in this module's globals: a tracer that replaces a module attribute sees it.
+LAYER_RULES = {
+    "unshuffle": LayerRule(lambda layer, xs: voxel_unshuffle(xs[0]),
+                           lambda layer, ss: _regrid(ss[0], 8 * ss[0][1], 1, 2)),
+    "shuffle": LayerRule(lambda layer, xs: voxel_shuffle(xs[0]),
+                         lambda layer, ss: _regrid(ss[0], ss[0][1] // 8, 2, 1)),
+    "conv": LayerRule(lambda layer, xs: conv3d(xs[0], layer.spec), _conv_shape),
+    "inorm": LayerRule(lambda layer, xs: instance_norm(xs[0], layer.scale, layer.shift),
+                       lambda layer, ss: ss[0]),
+    "relu": LayerRule(lambda layer, xs: relu(xs[0]), lambda layer, ss: ss[0]),
+    "upsample": LayerRule(lambda layer, xs: upsample_trilinear(xs[0]),
+                          lambda layer, ss: _regrid(ss[0], ss[0][1], 2, 1)),
+    "concat": LayerRule(lambda layer, xs: concat(xs),
+                        lambda layer, ss: _regrid(ss[0], sum(s[1] for s in ss), 1, 1)),
+}
+
+
+def walk(net: NetworkGraph, x, visit) -> list:
+    """Every layer's value, in layer order, from ``visit(layer_id, layer, rule, inputs)``
+    with the layer's ``LAYER_RULES`` entry and its producers' values (-1 gives ``x``)."""
+    values = []
+    for layer_id, layer in enumerate(net.layers):
+        if layer.kind not in LAYER_RULES:
+            raise ConfigError(f"unknown layer kind {layer.kind!r}")
+        inputs = [x if i == -1 else values[i] for i in layer.inputs]
+        values.append(visit(layer_id, layer, LAYER_RULES[layer.kind], inputs))
+    return values
+
+
 # -- forward -------------------------------------------------------------------
 
 
@@ -231,35 +279,15 @@ def forward(net: NetworkGraph, x: Tensor) -> Tensor:
     """Run the denoiser; output shape equals input shape."""
     if len(x.shape) != 5 or x.shape[0] != 1 or x.shape[1] != 1:
         raise ContractError(f"forward expects a [1, 1, H, W, D] tensor, got {x.shape}")
-    net.check_extents(x.shape[2:])
+    check_divisible(net.name, net.cfg.num_down, x.shape[2:], ShapeError)
 
-    outputs: list[Tensor | None] = [None] * len(net.layers)
-
-    def fetch(i):
-        return x if i == -1 else outputs[i]
-
-    for idx, layer in enumerate(net.layers):
-        a = fetch(layer.inputs[0])
-        if layer.kind == "unshuffle":
-            out = voxel_unshuffle(a)
-        elif layer.kind == "shuffle":
-            out = voxel_shuffle(a)
-        elif layer.kind == "conv":
-            out = conv3d(a, layer.spec)
-        elif layer.kind == "inorm":
-            out = instance_norm(a, layer.scale, layer.shift)
-        elif layer.kind == "relu":
-            out = a.relu()
-        elif layer.kind == "upsample":
-            out = upsample_trilinear(a)
-        elif layer.kind == "concat":
-            out = concat([fetch(i) for i in layer.inputs])
-        else:
-            raise ConfigError(f"unknown layer kind {layer.kind!r}")
+    def apply(layer_id, layer, rule, xs):
+        out = rule.apply(layer, xs)
         if not np.all(np.isfinite(out.data)):
-            raise NumericError(f"non-finite values after layer {idx} ({layer.kind})")
-        outputs[idx] = out
-    return outputs[-1]
+            raise NumericError(f"non-finite values after layer {layer_id} ({layer.kind})")
+        return out
+
+    return walk(net, x, apply)[-1]
 
 
 # -- checkpoint I/O --------------------------------------------------------------
@@ -318,8 +346,7 @@ def load_checkpoint(path) -> NetworkGraph:
         if tag not in _TAG_NAMES:
             raise FormatError(f"unknown network tag {tag}")
         name = _TAG_NAMES[tag]
-        extra = 1 if name == PROPOSED else 0
-        nominal = 2 ** (num_down + extra)
+        nominal = divisor(name, num_down)
         cfg = ScaledConfig(base_features, num_down, (nominal, nominal, nominal))
         net = build_network(name, cfg, seed=seed)
 

@@ -3,24 +3,21 @@
 FLOPs follow the multiply-accumulate convention for convolutions,
 2 * C_in * k_h * k_w * k_d * C_out * H_out * W_out * D_out, counting the
 convolutions only: normalization, ReLU, shuffles and upsampling are free.
-Counting works on symbolic shapes, so profiling the reference geometry
-allocates no tensors.
+``count_flops`` walks symbolic shapes through ``model.LAYER_RULES`` with
+``model.walk``, so profiling the reference geometry allocates no tensors.
 """
 
+import ctypes
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .kernels import conv3d, conv_output_extents, instance_norm, make_conv_spec
-from .model import NetworkGraph
+from .kernels import conv3d, instance_norm, make_conv_spec
+from .model import NetworkGraph, check_divisible, walk
 from .tensor import Tensor, relu
-
-try:  # BLAS thread pinning for stable timings, when available
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 
 def conv_flops(c_in, kernel, c_out, out_extents) -> int:
@@ -96,49 +93,18 @@ class FlopsReport:
 def count_flops(net: NetworkGraph, input_extents) -> FlopsReport:
     """Propagate shapes through the graph and cost each convolution."""
     input_extents = tuple(int(e) for e in input_extents)
-    try:
-        net.check_extents(input_extents)
-    except Exception as exc:
-        raise ContractError(str(exc)) from exc
-
-    shapes: list[tuple] = [None] * len(net.layers)
-
-    def fetch(i):
-        return (1, 1) + input_extents if i == -1 else shapes[i]
-
+    check_divisible(net.name, net.cfg.num_down, input_extents, ContractError)
     rows = []
-    for layer_id, layer in enumerate(net.layers):
-        src = fetch(layer.inputs[0])
-        b, c = src[0], src[1]
-        extents = src[2:]
-        flops = 0
-        params = 0
-        if layer.kind == "unshuffle":
-            out = (b, 8 * c) + tuple(e // 2 for e in extents)
-        elif layer.kind == "shuffle":
-            out = (b, c // 8) + tuple(2 * e for e in extents)
-        elif layer.kind == "conv":
-            spec = layer.spec
-            if spec.c_in != c:
-                raise ContractError(f"layer {layer_id}: channel mismatch {c} vs {spec.c_in}")
-            out_extents = conv_output_extents(extents, spec.kernel, spec.stride)
-            out = (b, spec.c_out) + out_extents
-            flops = conv_flops(spec.c_in, spec.kernel, spec.c_out, out_extents)
-            params = spec.n_params
-        elif layer.kind == "inorm":
-            out = src
-            params = 2 * c
-        elif layer.kind in ("relu",):
-            out = src
-        elif layer.kind == "upsample":
-            out = (b, c) + tuple(2 * e for e in extents)
-        elif layer.kind == "concat":
-            others = [fetch(i) for i in layer.inputs[1:]]
-            out = (b, c + sum(s[1] for s in others)) + extents
-        else:
-            raise ContractError(f"unknown layer kind {layer.kind!r}")
-        rows.append(LayerCost(layer_id, layer.kind, layer.stage, src, out, flops, params))
-        shapes[layer_id] = out
+
+    def cost(layer_id, layer, rule, shapes):
+        out = rule.shape(layer, shapes)
+        spec = layer.spec
+        flops = 0 if spec is None else conv_flops(spec.c_in, spec.kernel, spec.c_out, out[2:])
+        params = sum(t.size for _, t in layer.params())
+        rows.append(LayerCost(layer_id, layer.kind, layer.stage, shapes[0], out, flops, params))
+        return out
+
+    walk(net, (1, 1) + input_extents, cost)
     return FlopsReport(net.name, input_extents, rows)
 
 
@@ -167,16 +133,43 @@ def module_mac_ratio(k: int = 3) -> float:
 # -- wall-clock micro-benchmark ----------------------------------------------------
 
 
+# Getter names exported by the OpenBLAS builds numpy ships with, tried in order.
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads")
+
+
+def blas_threads() -> int | None:
+    """BLAS threads in effect, asked of the OpenBLAS this process mapped (an
+    environment variable is only a request); None when it cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {line.split()[-1] for line in fh}
+    except OSError:
+        return None
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for getter in [getattr(lib, name, None) for name in _BLAS_THREAD_GETTERS]:
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return None
+
+
 @dataclass
 class BenchRow:
     module: str
     median_ms: float
     iqr_ms: float
     repeats: int
-    workers: int
+    workers: int | None  # BLAS threads in effect; None when unreadable
 
     def csv(self) -> str:
-        return f"{self.module},{self.median_ms:.6f},{self.iqr_ms:.6f},{self.repeats},{self.workers}"
+        workers = "" if self.workers is None else self.workers
+        return f"{self.module},{self.median_ms:.6f},{self.iqr_ms:.6f},{self.repeats},{workers}"
 
 
 BENCH_CSV_HEADER = "module,median_ms,iqr_ms,repeats,workers"
@@ -194,7 +187,7 @@ def _time_forward(fn, x, repeats, warmup=3):
 
 
 def bench_modules(
-    extents=(32, 32, 16), channels: int = 64, repeats: int = 100, seed: int = 0, workers: int = 1
+    extents=(32, 32, 16), channels: int = 64, repeats: int = 100, seed: int = 0
 ) -> list[BenchRow]:
     """Median/IQR forward time of one regular downsampling module against one
     decoupled axial+slice module at identical input and output shapes."""
@@ -221,19 +214,10 @@ def bench_modules(
         return relu(instance_norm(conv3d(h, slicec), *norms[2]))
 
     x = Tensor(rng.standard_normal((1, c) + extents))
-
-    def run():
-        t_reg = _time_forward(regular_module, x, repeats)
-        t_dec = _time_forward(decoupled_module, x, repeats)
-        return [
-            _row("regular3d", t_reg, repeats, workers),
-            _row("decoupled", t_dec, repeats, workers),
-        ]
-
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=workers):
-            return run()
-    return run()
+    t_reg = _time_forward(regular_module, x, repeats)
+    t_dec = _time_forward(decoupled_module, x, repeats)
+    threads = blas_threads()
+    return [_row("regular3d", t_reg, repeats, threads), _row("decoupled", t_dec, repeats, threads)]
 
 
 def _row(name, samples, repeats, workers):

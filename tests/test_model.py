@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from mcdenoise import model as M
+from mcdenoise import perf
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError
 from mcdenoise.tensor import Tensor
 
@@ -58,6 +61,52 @@ def test_forward_deterministic_across_builds():
     a = M.forward(M.build_proposed(DESK, seed=11), x).data
     b = M.forward(M.build_proposed(DESK, seed=11), x).data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "build, extents", [(M.build_proposed, (32, 32, 16)), (M.build_unet_baseline, (16, 16, 8))]
+)
+def test_layer_table_shape_rule_matches_applied_shape(build, extents):
+    net = build(M.ScaledConfig(8, 3, extents), seed=0)
+    x = Tensor(np.random.default_rng(8).normal(size=(1, 1) + extents))
+    values = M.walk(net, x, lambda layer_id, layer, rule, xs: rule.apply(layer, xs))
+    shapes = M.walk(net, x.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+    assert len(values) == len(shapes) == len(net.layers)
+    for layer_id, (value, shape) in enumerate(zip(values, shapes)):
+        assert value.shape == shape, (layer_id, net.layers[layer_id].kind)
+
+
+def test_forward_looks_kernels_up_at_call_time(monkeypatch):
+    # a tracer replaces these module attributes; forward must see the replacements
+    kinds = {
+        "voxel_unshuffle": "unshuffle",
+        "voxel_shuffle": "shuffle",
+        "conv3d": "conv",
+        "instance_norm": "inorm",
+        "relu": "relu",
+        "upsample_trilinear": "upsample",
+        "concat": "concat",
+    }
+    calls = Counter()
+    for name, kind in kinds.items():
+        def counted(*args, _fn=getattr(M, name), _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(M, name, counted)
+    net = M.build_proposed(DESK, seed=0)
+    M.forward(net, Tensor(np.ones((1, 1, 32, 32, 16))))
+    assert set(calls) == set(M.LAYER_RULES)
+    assert calls == Counter(layer.kind for layer in net.layers)
+
+
+def test_unknown_layer_kind_is_config_error():
+    net = M.build_proposed(DESK, seed=0)
+    net.layers[3].kind = "dropout"
+    with pytest.raises(ConfigError, match="dropout"):
+        M.forward(net, Tensor(np.ones((1, 1, 32, 32, 16))))
+    with pytest.raises(ConfigError, match="dropout"):
+        perf.count_flops(net, (32, 32, 16))
 
 
 # -- structural ledgers ----------------------------------------------------------------

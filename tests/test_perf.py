@@ -127,6 +127,14 @@ def test_bench_modules_rows_and_ordering():
     assert csv.count(",") == 4
 
 
+def test_bench_workers_column_is_blas_threads_in_effect():
+    threads = perf.blas_threads()
+    assert threads is None or threads >= 1
+    for row in perf.bench_modules((16, 16, 8), channels=8, repeats=10, seed=0):
+        assert row.workers == threads
+        assert row.csv().split(",")[4] == ("" if threads is None else str(threads))
+
+
 def test_bench_modules_repeat_floor():
     with pytest.raises(ContractError):
         perf.bench_modules((16, 16, 8), repeats=5)
