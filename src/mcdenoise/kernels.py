@@ -396,31 +396,53 @@ def instance_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE
 # -- trilinear upsampling -------------------------------------------------------
 
 
-def _lerp_indices(n: int):
-    """Half-pixel-centre source coordinates for doubling an axis of extent n."""
-    coords = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-    base = np.floor(coords).astype(np.int64)
-    frac = coords - base
-    lo = np.clip(base, 0, n - 1)
-    hi = np.clip(base + 1, 0, n - 1)
-    return lo, hi, frac
-
-
 def _lerp_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    lo, hi, frac = _lerp_indices(a.shape[axis])
-    shape = [1] * a.ndim
-    shape[axis] = frac.size
-    f = frac.reshape(shape)
-    return np.take(a, lo, axis=axis) * (1.0 - f) + np.take(a, hi, axis=axis) * f
+    """Double ``axis``: even[i] = 0.25 a[i-1] + 0.75 a[i], odd[i] = 0.75 a[i] + 0.25 a[i+1],
+    with a[-1] and a[n] clamped to the edge voxels."""
+    shape = list(a.shape)
+    shape[axis] *= 2
+    out = np.empty(shape)
+    x, y = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    quarter, three = 0.25 * x, 0.75 * x
+    even, odd = y[0::2], y[1::2]
+    np.add(quarter[:-1], three[1:], out=even[1:])
+    np.add(quarter[:1], three[:1], out=even[:1])
+    np.add(three[:-1], quarter[1:], out=odd[:-1])
+    np.add(three[-1:], quarter[-1:], out=odd[-1:])
+    return out
 
 
-def _lerp_axis_adjoint(g: np.ndarray, axis: int, n_in: int) -> np.ndarray:
-    lo, hi, frac = _lerp_indices(n_in)
+def _lerp_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
+    """Transpose of ``_lerp_axis``: halve ``axis`` of the output gradient ``g``.
+
+    Input voxel i collects 0.75 g[2i+1] + 0.25 g[2i+2] from the odd outputs
+    and 0.25 g[2i-1] + 0.75 g[2i] from the even ones, the edges clamped.
+    Each sum is grouped as a scatter-add over the outputs in ascending
+    order would group it, so it rounds like one:
+      interior  ((0.75 g[2i+1] + 0.25 g[2i+2]) + 0.25 g[2i-1]) + 0.75 g[2i]
+      i = 0     ((0.25 g0 + 0.75 g1) + 0.25 g2) + 0.75 g0
+      i = n-1   ((0.75 g[2n-1] + 0.25 g[2n-3]) + 0.75 g[2n-2]) + 0.25 g[2n-1]
+      n = 1     ((0.25 g0 + 0.75 g1) + 0.75 g0) + 0.25 g1
+    """
     gm = np.moveaxis(g, axis, 0)
-    out = np.zeros((n_in,) + gm.shape[1:])
-    fcol = frac.reshape((-1,) + (1,) * (gm.ndim - 1))
-    np.add.at(out, lo, gm * (1.0 - fcol))
-    np.add.at(out, hi, gm * fcol)
+    q_even, t_even = 0.25 * gm[0::2], 0.75 * gm[0::2]
+    q_odd, t_odd = 0.25 * gm[1::2], 0.75 * gm[1::2]
+    if len(q_even) == 1:
+        out = q_even + t_odd
+        out += t_even
+        out += q_odd
+        return np.moveaxis(out, 0, axis)
+    out = np.empty_like(q_even)
+    inner, first, last = out[1:-1], out[:1], out[-1:]
+    np.add(t_odd[1:-1], q_even[2:], out=inner)
+    inner += q_odd[:-2]
+    inner += t_even[1:-1]
+    np.add(q_even[:1], t_odd[:1], out=first)
+    first += q_even[1:2]
+    first += t_even[:1]
+    np.add(t_odd[-1:], q_odd[-2:-1], out=last)
+    last += t_even[-1:]
+    last += q_odd[-1:]
     return np.moveaxis(out, 0, axis)
 
 
@@ -428,11 +450,15 @@ def upsample_trilinear(x: Tensor) -> Tensor:
     """Double every spatial extent by trilinear interpolation.
 
     Uses the half-pixel-centre (align-corners false) convention with edge
-    replication, applied separably along H, W, then D.
+    replication, applied separably along H, W, then D. Along one axis this
+    is a fixed two-tap stencil written into the even and odd outputs:
+    out[2i] = 0.25 x[i-1] + 0.75 x[i] and out[2i+1] = 0.75 x[i] + 0.25 x[i+1],
+    with x[-1] = x[0] and x[n] = x[n-1]. The backward pass applies the
+    transposed stencil (``_lerp_axis_adjoint``) along D, W, then H; neither
+    pass gathers or scatters by index.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"upsample_trilinear needs a 5-D tensor, got {x.shape}")
-    in_extents = x.shape[2:]
     out = x.data
     for axis in (2, 3, 4):
         out = _lerp_axis(out, axis)
@@ -441,7 +467,7 @@ def upsample_trilinear(x: Tensor) -> Tensor:
         if x.requires_grad:
             dx = g
             for axis in (4, 3, 2):
-                dx = _lerp_axis_adjoint(dx, axis, in_extents[axis - 2])
+                dx = _lerp_axis_adjoint(dx, axis)
             _accumulate(x, dx)
 
     return _result(out, (x,), _bw)

@@ -27,6 +27,7 @@ and cap at 8x the base (64 -> 512 at the reference configuration); the
 decoder/pyramid convs emit the channel count of the skip they join.
 """
 
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -326,6 +327,17 @@ def checkpoint_nbytes(net: NetworkGraph) -> int:
     return total
 
 
+def _min_checkpoint_nbytes(base_features: int, num_down: int) -> int:
+    """A lower bound of ``checkpoint_nbytes`` for either network.
+
+    Each downsampling module of both builders holds a conv with at least
+    ``base_features`` outputs and at least 3 taps (>= 4 values per output
+    with its bias) and that conv's norm (2 per channel): two records of
+    12 bytes and at least 6 * base_features values of 8 bytes.
+    """
+    return 28 + num_down * (24 + 48 * base_features)
+
+
 def _read_exact(fh, n, what):
     buf = fh.read(n)
     if len(buf) != n:
@@ -345,6 +357,16 @@ def load_checkpoint(path) -> NetworkGraph:
         tag, base_features, num_down = struct.unpack("<III", _read_exact(fh, 12, "config"))
         if tag not in _TAG_NAMES:
             raise FormatError(f"unknown network tag {tag}")
+        # check the claimed config against the file before building it
+        if base_features < 1 or num_down < 1:
+            raise FormatError(f"bad config: base_features {base_features}, num_down {num_down}")
+        smallest = _min_checkpoint_nbytes(base_features, num_down)
+        size = os.fstat(fh.fileno()).st_size
+        if smallest > size:
+            raise FormatError(
+                f"config base_features {base_features}, num_down {num_down} needs at "
+                f"least {smallest} bytes, file has {size}"
+            )
         name = _TAG_NAMES[tag]
         nominal = divisor(name, num_down)
         cfg = ScaledConfig(base_features, num_down, (nominal, nominal, nominal))

@@ -6,6 +6,14 @@ is contiguous in memory. The op graph recorded during a forward pass is
 the tape: ``backward`` visits it exactly once in reverse topological
 order and accumulates gradients additively into every leaf that requested
 them. Everything runs in float64; gradient checks need the headroom.
+
+Gradient ownership: a backward closure never writes to the gradient it
+receives, nor to an array it passes on, because one array may reach
+several nodes (``add`` hands the same gradient to both operands,
+``concat`` hands out views of its own). An interior node starts each
+traversal without a gradient, stores the first array it is given as is,
+and combines later ones out of place (``grad = grad + g``). Only leaves
+own their gradient buffers and accumulate into them in place.
 """
 
 import numpy as np
@@ -47,7 +55,9 @@ class Tensor:
         return not self._parents
 
     def zero_grad(self):
-        if self.grad is not None:
+        if self._parents:
+            self.grad = None  # may be shared with other nodes: drop it, never write it
+        elif self.grad is not None:
             self.grad[...] = 0.0
 
     def item(self) -> float:
@@ -131,6 +141,10 @@ def randn(shape, mean, std, rng: np.random.Generator, requires_grad=False) -> Te
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad`` without writing to any array ``t`` does not own."""
+    if t._parents:
+        t.grad = g if t.grad is None else t.grad + g
+        return
     if t.grad is None:
         t.grad = np.zeros(t.data.shape)
     t.grad += g
@@ -169,14 +183,14 @@ def backward(loss: Tensor):
             _accumulate(loss, np.ones(loss.data.shape))
         return
     order = _topo_order(loss)
-    # Interior grads are scratch buffers for this traversal only; leaf
-    # grads persist and keep accumulating.
+    # Interior grads hold this traversal's arrays only (see the module
+    # docstring); leaf grads persist and keep accumulating.
     for node in order:
         if not node.is_leaf():
-            node.grad = np.zeros(node.data.shape)
-    loss.grad[...] = 1.0
+            node.grad = None
+    loss.grad = np.ones(loss.data.shape)
     for node in reversed(order):
-        if node._backward is not None:
+        if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
 

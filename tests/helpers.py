@@ -1,11 +1,14 @@
 """Shared test oracles: finite differences and naive reference kernels.
 
 Everything here is deliberately independent of the library's fast paths:
-plain loops and two-sided difference quotients only.
+plain loops, two-sided difference quotients, and the index gather/scatter
+upsample that the library's stencil must match bit for bit. Also a guard
+that keeps checkpoint tests from building a corrupt header's network.
 """
 
 import numpy as np
 
+from mcdenoise import model
 from mcdenoise.tensor import Tensor, backward, zero_grads
 
 
@@ -119,6 +122,34 @@ def trilinear_loops(x):
     return out
 
 
+def _take_scatter_indices(n):
+    """Half-pixel-centre source indices and weight for doubling an axis of extent n."""
+    coords = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
+    base = np.floor(coords).astype(np.int64)
+    frac = coords - base
+    return np.clip(base, 0, n - 1), np.clip(base + 1, 0, n - 1), frac
+
+
+def lerp_axis_take(a, axis):
+    """Doubling one axis by gathering both neighbours with ``np.take``."""
+    lo, hi, frac = _take_scatter_indices(a.shape[axis])
+    shape = [1] * a.ndim
+    shape[axis] = frac.size
+    f = frac.reshape(shape)
+    return np.take(a, lo, axis=axis) * (1.0 - f) + np.take(a, hi, axis=axis) * f
+
+
+def lerp_axis_adjoint_scatter(g, axis, n_in):
+    """Adjoint of ``lerp_axis_take`` by ``np.add.at`` scatter, outputs in ascending order."""
+    lo, hi, frac = _take_scatter_indices(n_in)
+    gm = np.moveaxis(g, axis, 0)
+    out = np.zeros((n_in,) + gm.shape[1:])
+    fcol = frac.reshape((-1,) + (1,) * (gm.ndim - 1))
+    np.add.at(out, lo, gm * (1.0 - fcol))
+    np.add.at(out, hi, gm * fcol)
+    return np.moveaxis(out, 0, axis)
+
+
 def dvh_loops(values, mask, bins, max_dose):
     """Counting-loop cumulative DVH."""
     doses = values[mask]
@@ -148,3 +179,27 @@ def dice_loops(a, b, threshold):
     if na + nb == 0:
         return 1.0
     return 2.0 * (ma & mb).sum() / (na + nb)
+
+
+# Above every config that a checkpoint of under 48 KB can claim and still
+# pass the reader's size check (28 + num_down * (24 + 48 * base_features)
+# bytes at least), far below what a flipped high byte claims.
+BUILD_CAP = 1024
+
+
+def guard_build_network(monkeypatch):
+    """Make ``model.build_network`` fail fast on a config above ``BUILD_CAP``.
+
+    A checkpoint reader that builds whatever a corrupt header claims then
+    fails the test at once instead of looping or allocating without bound.
+    """
+    real = model.build_network
+
+    def guarded(name, cfg, seed=0):
+        if cfg.base_features > BUILD_CAP or cfg.num_down > BUILD_CAP:
+            raise AssertionError(
+                f"built {name} with base_features {cfg.base_features}, num_down {cfg.num_down}"
+            )
+        return real(name, cfg, seed)
+
+    monkeypatch.setattr(model, "build_network", guarded)

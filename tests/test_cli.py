@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from mcdenoise import volio
-from mcdenoise.cli import read_manifest
+from mcdenoise.cli import main, read_manifest
 from mcdenoise.model import ScaledConfig, build_proposed, save_checkpoint
+
+from helpers import guard_build_network
 
 
 def run_cli(*args, check=True):
@@ -173,6 +175,22 @@ def test_denoise_forged_volume_header_is_data_error(tmp_path):
     assert proc.returncode == 3
     assert "truncated payload" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_denoise_forged_checkpoint_header_is_data_error(tmp_path, monkeypatch, capsys):
+    vol = tmp_path / "v.dvol"
+    volio.write_dvol(vol, np.zeros((16, 16, 8)), (1, 1, 1), 0, 0)
+    ckpt = tmp_path / "c.ddpk"
+    save_checkpoint(build_proposed(ScaledConfig(4, 2, (16, 16, 8)), seed=0), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    blob[24:28] = struct.pack("<I", 2**24 + 3)  # num_down
+    ckpt.write_bytes(bytes(blob))
+    # in process, so that the guard stands in for the build on an unchecked reader
+    guard_build_network(monkeypatch)
+    code = main(["denoise", "--checkpoint", str(ckpt), "--input", str(vol),
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "needs at least" in capsys.readouterr().err
 
 
 # -- bench ---------------------------------------------------------------------------

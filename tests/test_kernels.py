@@ -9,6 +9,8 @@ from helpers import (
     check_gradients,
     conv3d_loops,
     instance_norm_loops,
+    lerp_axis_adjoint_scatter,
+    lerp_axis_take,
     trilinear_loops,
 )
 
@@ -280,6 +282,28 @@ def test_upsample_matches_eight_neighbour_oracle():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+# extents 1 and 2 (an axis that is all edge), odd extents, and batch 2
+UPSAMPLE_SHAPES = [(1, 2, 1, 1, 1), (2, 3, 5, 4, 3), (1, 4, 1, 7, 2), (1, 32, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("shape", UPSAMPLE_SHAPES)
+def test_upsample_bit_identical_to_take_scatter_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = K.upsample_trilinear(x)
+    want = x.data
+    for axis in (2, 3, 4):
+        want = lerp_axis_take(want, axis)
+    assert np.array_equal(out.data, want)
+
+    g = rng.normal(size=out.shape)
+    want_dx = g
+    for axis in (4, 3, 2):
+        want_dx = lerp_axis_adjoint_scatter(want_dx, axis, shape[axis])
+    out._backward(g)
+    assert np.array_equal(x.grad, want_dx)
+
+
 # -- gradient checks over every kernel ------------------------------------------------------
 
 
@@ -325,6 +349,12 @@ def test_gradcheck_instance_norm():
 def test_gradcheck_upsample():
     rng = np.random.default_rng(18)
     x = _rand(rng, (1, 2, 3, 3, 2), requires_grad=True)
+    check_gradients(lambda: K.upsample_trilinear(x).square().mean(), [x])
+
+
+def test_gradcheck_upsample_extent_one_axis():
+    rng = np.random.default_rng(22)
+    x = _rand(rng, (1, 2, 1, 3, 2), requires_grad=True)
     check_gradients(lambda: K.upsample_trilinear(x).square().mean(), [x])
 
 

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,8 @@ from mcdenoise import model as M
 from mcdenoise import perf
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError
 from mcdenoise.tensor import Tensor
+
+from helpers import guard_build_network
 
 DESK = M.ScaledConfig(8, 3, (32, 32, 16))
 
@@ -259,6 +262,31 @@ def test_checkpoint_bad_magic_and_version(tmp_path):
     wrong.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         M.load_checkpoint(wrong)
+
+
+@pytest.mark.parametrize(
+    "offset, value",
+    [(20, 2**24 + 3), (24, 2**24 + 3), (20, 0), (24, 0)],  # base_features, num_down
+)
+def test_checkpoint_forged_config_rejected_before_building(tmp_path, monkeypatch, offset, value):
+    net = M.build_proposed(DESK, seed=0)
+    path = tmp_path / "net.ddpk"
+    M.save_checkpoint(net, path)
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(blob))
+    guard_build_network(monkeypatch)
+    with pytest.raises(FormatError):
+        M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", [M.PROPOSED, M.UNET_BASELINE])
+def test_checkpoint_size_lower_bound(name):
+    for base in (1, 2, 8):
+        for num_down in (1, 2, 4):
+            extent = M.divisor(name, num_down)
+            net = M.build_network(name, M.ScaledConfig(base, num_down, (extent,) * 3))
+            assert M._min_checkpoint_nbytes(base, num_down) <= M.checkpoint_nbytes(net)
 
 
 def test_checkpoint_preserves_seed_and_name(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mcdenoise import model as M
 from mcdenoise import tensor as T
 from mcdenoise.errors import ContractError, ShapeError
+from mcdenoise.kernels import conv3d, make_conv_spec
 
 from helpers import check_gradients, relative_error
 
@@ -200,3 +202,69 @@ def test_finite_difference_oracle_detects_errors():
 
     numeric = finite_difference_grads(lambda: a.square().sum(), [a])[0]
     assert relative_error(tampered, numeric) > 1e-4
+
+
+# -- gradient ownership -----------------------------------------------------------
+
+
+def _read_only_incoming(loss):
+    """Make each closure's incoming gradient read-only before the closure runs."""
+
+    def frozen(fn):
+        def run(g):
+            g.flags.writeable = False
+            fn(g)
+
+        return run
+
+    for node in T._topo_order(loss):
+        if node._backward is not None:
+            node._backward = frozen(node._backward)
+
+
+@pytest.mark.parametrize(
+    "name, cfg",
+    [(M.PROPOSED, M.ScaledConfig(8, 3, (32, 32, 16))), (M.UNET_BASELINE, M.ScaledConfig(8, 3, (16, 16, 8)))],
+)
+def test_backward_never_writes_a_received_gradient(name, cfg):
+    net = M.build_network(name, cfg, seed=2)
+    rng = np.random.default_rng(46)
+    x = T.Tensor(rng.normal(size=(1, 1) + cfg.input_extents))
+    target = T.Tensor(rng.normal(size=(1, 1) + cfg.input_extents))
+    params = net.param_tensors()
+
+    def leaf_grads(read_only):
+        T.zero_grads(params)
+        loss = (M.forward(net, x) - target).square().mean()
+        if read_only:
+            _read_only_incoming(loss)
+        T.backward(loss)
+        return [p.grad.copy() for p in params]
+
+    plain = leaf_grads(False)
+    for got, want in zip(leaf_grads(True), plain):
+        assert np.array_equal(got, want)
+
+
+def test_fan_out_gradients():
+    # add hands one array to y twice; z gets a view of the concat's
+    # gradient and, from its second consumer, the conv's input gradient
+    rng = np.random.default_rng(47)
+    x = _random_tensor(rng, (1, 2, 4, 4, 2))
+    spec = make_conv_spec(2, 3, (3, 3, 1), (1, 1, 1), rng)
+
+    def fn():
+        y = T.relu(x)
+        z = T.add(y, y)
+        return T.concat([z, conv3d(z, spec)]).square().mean()
+
+    leaves = [x, spec.weights, spec.bias]
+    check_gradients(fn, leaves)
+
+    T.zero_grads(leaves)
+    loss = fn()
+    T.backward(loss)
+    once = [t.grad.copy() for t in leaves]
+    T.backward(loss)
+    for t, g in zip(leaves, once):
+        assert np.array_equal(t.grad, 2.0 * g)
