@@ -45,6 +45,7 @@ from .model import (
     build_proposed,
     build_unet_baseline,
     forward,
+    infer,
     load_checkpoint,
     save_checkpoint,
 )

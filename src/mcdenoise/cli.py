@@ -62,6 +62,17 @@ def _write_manifest(out_dir, command, resolved: dict, started: float):
     return path
 
 
+def _denoise_run_entries(denoise_s: list[float]) -> dict:
+    """Manifest entries of a run that denoises: numpy version, BLAS threads in
+    effect, and the mean wall time of one ``denoise_volume`` call."""
+    threads = perf.blas_threads()
+    return {
+        "numpy_version": np.__version__,
+        "blas_threads": "" if threads is None else threads,
+        "denoise_ms_mean": f"{1e3 * sum(denoise_s) / len(denoise_s):.3f}" if denoise_s else "",
+    }
+
+
 def read_manifest(path) -> dict:
     entries = {}
     with open(path) as fh:
@@ -195,7 +206,9 @@ def cmd_denoise(args) -> int:
     out = _ensure_out(args.out)
     net = load_checkpoint(args.checkpoint)
     values, voxel_size, histories, seed = volio.read_dvol(args.input)
+    start = time.perf_counter()
     denoised = denoise_volume(net, values, args.normalization_dose)
+    denoise_s = [time.perf_counter() - start]
     out_path = os.path.join(out, "denoised.dvol")
     volio.write_dvol(out_path, denoised, voxel_size, histories, seed)
     volio.export_middle_slices(denoised, out, "denoised", DOSE_WINDOW_GY)
@@ -209,7 +222,8 @@ def cmd_denoise(args) -> int:
             "normalization_dose": args.normalization_dose,
             "out": out,
             "output": out_path,
-        },
+        }
+        | _denoise_run_entries(denoise_s),
         started,
     )
     print(f"denoised volume written to {out_path}")
@@ -229,13 +243,16 @@ def cmd_eval(args) -> int:
     out = _ensure_out(args.out)
     net = load_checkpoint(args.checkpoint)
     rows = []
+    denoise_s = []
     reports: dict[str, list[metrics.MetricsReport]] = {"noisy": [], "denoised": []}
     for case_dir in phantom.list_case_dirs(args.data):
         case = phantom.load_case(case_dir)
         for r in range(args.realizations):
             nseed = phantom.realization_seed(args.seed ^ hash_case(case.case_id), r)
             noisy = phantom.add_quantum_noise(case.clean, args.histories, nseed)
+            start = time.perf_counter()
             denoised = denoise_volume(net, noisy.values, args.normalization_dose)
+            denoise_s.append(time.perf_counter() - start)
             for source, volume in (("noisy", noisy.values), ("denoised", denoised)):
                 report = metrics.evaluate(volume, case.clean, case.ptv, case.body)
                 reports[source].append(report)
@@ -276,7 +293,8 @@ def cmd_eval(args) -> int:
             "normalization_dose": args.normalization_dose,
             "out": out,
             "metrics_csv": csv_path,
-        },
+        }
+        | _denoise_run_entries(denoise_s),
         started,
     )
     return EXIT_OK

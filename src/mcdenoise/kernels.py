@@ -1,14 +1,18 @@
 """Structural operators for the volumetric denoising networks.
 
-All kernels take and return 5-D tensors laid out (B, C, H, W, D) and
-record backward rules on the tape. Convolutions use cross-correlation
-semantics (no kernel flip) with weights stored output-major as
-[c_out, c_in, k_h, k_w, k_d]. A conv pads (k - 1) // 2 zeros per
-dimension, so stride-1 convs preserve extents and stride-2 convs halve
-them. Every conv runs through ``conv3d``, which splits the padded input
-by stride phase once and then reads each kernel tap as a contiguous
-column slice of one phase: the taps become GEMMs on the input in place,
-in the forward and in the backward pass.
+All kernels take and return 5-D tensors laid out (B, C, H, W, D). Each
+takes its output and temporaries from a ``tensor.Buffers``: by default
+fresh arrays, with the backward rule recorded on the tape, while
+``model.infer`` passes planned views and records nothing. So each
+kernel's forward arithmetic is written once.
+
+Convolutions use cross-correlation semantics (no kernel flip) with
+weights stored output-major as [c_out, c_in, k_h, k_w, k_d]. A conv pads
+(k - 1) // 2 zeros per dimension, so stride-1 convs preserve extents and
+stride-2 convs halve them. Every conv runs through ``conv3d``, which
+splits the padded input by stride phase once and then reads each kernel
+tap as a contiguous column slice of one phase: the taps become GEMMs on
+the input in place, in the forward and in the backward pass.
 
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
-from .tensor import Tensor, _accumulate, _result
+from .tensor import FRESH, Buffers, Tensor, _accumulate
 
 INSTANCE_NORM_EPS = 1e-5
 
@@ -29,20 +33,26 @@ INSTANCE_NORM_EPS = 1e-5
 # -- voxel shuffle / unshuffle ------------------------------------------------
 
 
-def _unshuffle_data(a: np.ndarray) -> np.ndarray:
+def _unshuffle_data(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     b, c, h, w, d = a.shape
     # split each spatial axis into (coarse, offset); offsets become channels
-    v = a.reshape(b, c, h // 2, 2, w // 2, 2, d // 2, 2)
-    return v.transpose(0, 1, 7, 5, 3, 2, 4, 6).reshape(b, c * 8, h // 2, w // 2, d // 2)
+    v = a.reshape(b, c, h // 2, 2, w // 2, 2, d // 2, 2).transpose(0, 1, 7, 5, 3, 2, 4, 6)
+    if out is None:
+        out = np.empty((b, c * 8, h // 2, w // 2, d // 2))
+    out.reshape(v.shape)[...] = v
+    return out
 
 
-def _shuffle_data(a: np.ndarray) -> np.ndarray:
+def _shuffle_data(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     b, c8, h, w, d = a.shape
-    v = a.reshape(b, c8 // 8, 2, 2, 2, h, w, d)
-    return v.transpose(0, 1, 5, 4, 6, 3, 7, 2).reshape(b, c8 // 8, 2 * h, 2 * w, 2 * d)
+    v = a.reshape(b, c8 // 8, 2, 2, 2, h, w, d).transpose(0, 1, 5, 4, 6, 3, 7, 2)
+    if out is None:
+        out = np.empty((b, c8 // 8, 2 * h, 2 * w, 2 * d))
+    out.reshape(v.shape)[...] = v
+    return out
 
 
-def voxel_unshuffle(x: Tensor) -> Tensor:
+def voxel_unshuffle(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """[B, C, H, W, D] -> [B, 8C, H/2, W/2, D/2], losslessly."""
     if len(x.shape) != 5:
         raise ShapeError(f"voxel_unshuffle needs a 5-D tensor, got {x.shape}")
@@ -54,10 +64,11 @@ def voxel_unshuffle(x: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, _shuffle_data(g))
 
-    return _result(_unshuffle_data(x.data), (x,), _bw)
+    out = buffers.output((x.shape[0], 8 * x.shape[1], h // 2, w // 2, d // 2))
+    return buffers.result(_unshuffle_data(x.data, out), (x,), _bw)
 
 
-def voxel_shuffle(x: Tensor) -> Tensor:
+def voxel_shuffle(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """[B, 8C, H, W, D] -> [B, C, 2H, 2W, 2D], inverse of voxel_unshuffle."""
     if len(x.shape) != 5:
         raise ShapeError(f"voxel_shuffle needs a 5-D tensor, got {x.shape}")
@@ -68,7 +79,9 @@ def voxel_shuffle(x: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, _unshuffle_data(g))
 
-    return _result(_shuffle_data(x.data), (x,), _bw)
+    b, c8, h, w, d = x.shape
+    out = buffers.output((b, c8 // 8, 2 * h, 2 * w, 2 * d))
+    return buffers.result(_shuffle_data(x.data, out), (x,), _bw)
 
 
 # -- convolution --------------------------------------------------------------
@@ -101,10 +114,6 @@ class ConvSpec:
             )
         if self.bias.shape != (self.c_out,):
             raise ContractError(f"bias shape {self.bias.shape} != ({self.c_out},)")
-
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.bias.size
 
 
 def make_conv_spec(c_in, c_out, kernel, stride, rng: np.random.Generator) -> ConvSpec:
@@ -182,9 +191,9 @@ class _PhaseGrid:
     def _grids(self, phases: np.ndarray) -> np.ndarray:
         return phases.reshape(phases.shape[:2] + (self.batch,) + self.grid)
 
-    def split(self, a: np.ndarray) -> np.ndarray:
+    def split(self, a: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
         """[B, C, H, W, D] -> its zero-padded phases, one copy of each voxel."""
-        phases = np.empty((len(self.phases), a.shape[1], self.batch * self.size))
+        phases = buffers.scratch((len(self.phases), a.shape[1], self.batch * self.size))
         channel_major = a.transpose(1, 0, 2, 3, 4)
         for grid, (src, dst) in zip(self._grids(phases), self.slices):
             grid[(Ellipsis,) + dst] = channel_major[(Ellipsis,) + src]
@@ -233,9 +242,12 @@ def _gathers(c_out: int, cols: int) -> bool:
     return cols <= c_out
 
 
-def _tap_matrices(w: np.ndarray) -> np.ndarray:
+def _tap_matrices(w: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
     """[c_out, c_in, kh, kw, kd] -> contiguous [taps, c_out, c_in], taps row-major."""
-    return np.ascontiguousarray(w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1))
+    taps = w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1)
+    out = buffers.scratch(taps.shape)
+    out[...] = taps
+    return out
 
 
 # np.matmul is a ufunc and would warn on the floating-point flags BLAS
@@ -244,15 +256,18 @@ def _tap_matrices(w: np.ndarray) -> np.ndarray:
 # run under np.errstate(all="ignore").
 
 
-def _tap_sum(w: np.ndarray, views: list) -> np.ndarray:
+def _tap_sum(w: np.ndarray, views: list, buffers: Buffers) -> np.ndarray:
     """Sum over taps t of w_t @ views[t]: the conv on the grid, [c_out, cols]."""
     c_out, cols = w.shape[0], views[0].shape[1]
     with np.errstate(all="ignore"):
         if _gathers(c_out, cols):
-            return w.reshape(c_out, -1) @ np.stack(views, axis=1).reshape(-1, cols)
-        w_taps = _tap_matrices(w)
-        acc = np.empty((c_out, cols))
-        tmp = np.empty((c_out, cols))
+            stacked = buffers.scratch((views[0].shape[0], len(views), cols))
+            np.stack(views, axis=1, out=stacked)
+            acc = buffers.scratch((c_out, cols))
+            return np.matmul(w.reshape(c_out, -1), stacked.reshape(-1, cols), out=acc)
+        w_taps = _tap_matrices(w, buffers)
+        acc = buffers.scratch((c_out, cols))
+        tmp = buffers.scratch((c_out, cols))
         for t, view in enumerate(views):
             np.matmul(w_taps[t], view, out=acc if t == 0 else tmp)
             if t:
@@ -289,7 +304,7 @@ def _tap_sum_input_grad(w: np.ndarray, g_cols: np.ndarray, dviews: list):
             dview += tmp
 
 
-def conv3d(x: Tensor, spec: ConvSpec) -> Tensor:
+def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH) -> Tensor:
     """Strided cross-correlation over (H, W, D) with "same" zero padding.
 
     The input is padded and split by stride phase once (see ``_PhaseGrid``),
@@ -306,8 +321,8 @@ def conv3d(x: Tensor, spec: ConvSpec) -> Tensor:
     if x.shape[1] != spec.c_in:
         raise ContractError(f"conv3d: input has {x.shape[1]} channels, spec wants {spec.c_in}")
     geo = _PhaseGrid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
-    acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data)))
-    out = np.empty((x.shape[0], spec.c_out) + geo.out)
+    acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
+    out = buffers.output((x.shape[0], spec.c_out) + geo.out)
     np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), spec.bias.data.reshape(1, -1, 1, 1, 1), out=out)
 
     def _bw(g):
@@ -325,7 +340,7 @@ def conv3d(x: Tensor, spec: ConvSpec) -> Tensor:
             _tap_sum_input_grad(spec.weights.data, g_cols, geo.tap_views(dphases))
             _accumulate(x, geo.merge(dphases))
 
-    return _result(out, (x, spec.weights, spec.bias), _bw)
+    return buffers.result(out, (x, spec.weights, spec.bias), _bw)
 
 
 def conv_axial(x: Tensor, spec: ConvSpec) -> Tensor:
@@ -347,7 +362,10 @@ def conv_slice(x: Tensor, spec: ConvSpec) -> Tensor:
 # -- instance normalization ----------------------------------------------------
 
 
-def instance_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE_NORM_EPS) -> Tensor:
+def instance_norm(
+    x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE_NORM_EPS,
+    buffers: Buffers = FRESH,
+) -> Tensor:
     """Standardize each (batch, channel) slab over its spatial extent."""
     if len(x.shape) != 5:
         raise ShapeError(f"instance_norm needs a 5-D tensor, got {x.shape}")
@@ -365,8 +383,8 @@ def instance_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE
     # the centred values the output): the norm is memory-bound, and every
     # further temporary is one more allocation and pass over the volume.
     mu = x.data.mean(axis=(2, 3, 4), keepdims=True)
-    centered = x.data - mu
-    xhat = np.square(centered)
+    centered = np.subtract(x.data, mu, out=buffers.output(x.shape))
+    xhat = np.square(centered, out=buffers.scratch(x.shape))
     var = xhat.mean(axis=(2, 3, 4), keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     np.multiply(centered, inv_std, out=xhat)
@@ -390,20 +408,19 @@ def instance_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE
             dx *= gamma * inv_std
             _accumulate(x, dx)
 
-    return _result(out, (x, scale, shift), _bw)
+    return buffers.result(out, (x, scale, shift), _bw)
 
 
 # -- trilinear upsampling -------------------------------------------------------
 
 
-def _lerp_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    """Double ``axis``: even[i] = 0.25 a[i-1] + 0.75 a[i], odd[i] = 0.75 a[i] + 0.25 a[i+1],
-    with a[-1] and a[n] clamped to the edge voxels."""
-    shape = list(a.shape)
-    shape[axis] *= 2
-    out = np.empty(shape)
-    x, y = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    quarter, three = 0.25 * x, 0.75 * x
+def _lerp_axis(a: np.ndarray, axis: int, out: np.ndarray, buffers: Buffers) -> np.ndarray:
+    """Double ``axis`` into ``out``: even[i] = 0.25 a[i-1] + 0.75 a[i],
+    odd[i] = 0.75 a[i] + 0.25 a[i+1], with a[-1] and a[n] clamped to the edge voxels."""
+    quarter = np.multiply(0.25, a, out=buffers.scratch(a.shape))
+    three = np.multiply(0.75, a, out=buffers.scratch(a.shape))
+    y = np.moveaxis(out, axis, 0)
+    quarter, three = np.moveaxis(quarter, axis, 0), np.moveaxis(three, axis, 0)
     even, odd = y[0::2], y[1::2]
     np.add(quarter[:-1], three[1:], out=even[1:])
     np.add(quarter[:1], three[:1], out=even[:1])
@@ -446,7 +463,7 @@ def _lerp_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def upsample_trilinear(x: Tensor) -> Tensor:
+def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """Double every spatial extent by trilinear interpolation.
 
     Uses the half-pixel-centre (align-corners false) convention with edge
@@ -461,7 +478,10 @@ def upsample_trilinear(x: Tensor) -> Tensor:
         raise ShapeError(f"upsample_trilinear needs a 5-D tensor, got {x.shape}")
     out = x.data
     for axis in (2, 3, 4):
-        out = _lerp_axis(out, axis)
+        shape = list(out.shape)
+        shape[axis] *= 2
+        doubled = buffers.output(tuple(shape)) if axis == 4 else buffers.scratch(shape)
+        out = _lerp_axis(out, axis, doubled, buffers)
 
     def _bw(g):
         if x.requires_grad:
@@ -470,4 +490,4 @@ def upsample_trilinear(x: Tensor) -> Tensor:
                 dx = _lerp_axis_adjoint(dx, axis)
             _accumulate(x, dx)
 
-    return _result(out, (x,), _bw)
+    return buffers.result(out, (x,), _bw)

@@ -5,8 +5,11 @@ each layer names the layers it consumes (index -1 is the network input).
 ``walk`` feeds each layer its producers' values in layer order together
 with the layer's entry in ``LAYER_RULES``, the one table of how each kind
 applies to tensors and to shapes: ``forward`` walks tensors and
-``perf.count_flops`` walks shapes. Parameter iteration and checkpointing
-use the same layer list.
+``perf.count_flops`` walks shapes. ``infer`` is the forward without the
+tape: a shape walk plans one arena for every layer output (outputs whose
+lifetimes do not overlap share memory) and one scratch region for the
+kernels' temporaries, and the tensor walk runs the same kernels in views
+of it. Parameter iteration and checkpointing use the same layer list.
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -45,7 +48,7 @@ from .kernels import (
     voxel_shuffle,
     voxel_unshuffle,
 )
-from .tensor import Tensor, concat, relu
+from .tensor import FRESH, Buffers, Tensor, concat, relu
 
 PROPOSED = "proposed"
 UNET_BASELINE = "unet-baseline"
@@ -100,6 +103,8 @@ class NetworkGraph:
     cfg: ScaledConfig
     seed: int
     layers: list[Layer] = field(default_factory=list)
+    # infer's buffer plan for the last input shape; it dies with the net
+    plan: "_Plan | None" = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self):
         for layer_id, layer in enumerate(self.layers):
@@ -227,6 +232,7 @@ def build_network(name: str, cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
 
 # -- the layer table and its walker -----------------------------------------------
 
+# apply(layer, inputs, buffers=FRESH) -> output tensor; shape(layer, input shapes) -> shape
 LayerRule = namedtuple("LayerRule", "apply shape")
 
 
@@ -246,17 +252,20 @@ def _conv_shape(layer, shapes):
 # kernels are named inside the lambdas, not captured, so each call looks them up
 # in this module's globals: a tracer that replaces a module attribute sees it.
 LAYER_RULES = {
-    "unshuffle": LayerRule(lambda layer, xs: voxel_unshuffle(xs[0]),
+    "unshuffle": LayerRule(lambda layer, xs, buffers=FRESH: voxel_unshuffle(xs[0], buffers),
                            lambda layer, ss: _regrid(ss[0], 8 * ss[0][1], 1, 2)),
-    "shuffle": LayerRule(lambda layer, xs: voxel_shuffle(xs[0]),
+    "shuffle": LayerRule(lambda layer, xs, buffers=FRESH: voxel_shuffle(xs[0], buffers),
                          lambda layer, ss: _regrid(ss[0], ss[0][1] // 8, 2, 1)),
-    "conv": LayerRule(lambda layer, xs: conv3d(xs[0], layer.spec), _conv_shape),
-    "inorm": LayerRule(lambda layer, xs: instance_norm(xs[0], layer.scale, layer.shift),
+    "conv": LayerRule(lambda layer, xs, buffers=FRESH: conv3d(xs[0], layer.spec, buffers),
+                      _conv_shape),
+    "inorm": LayerRule(lambda layer, xs, buffers=FRESH: instance_norm(
+                           xs[0], layer.scale, layer.shift, buffers=buffers),
                        lambda layer, ss: ss[0]),
-    "relu": LayerRule(lambda layer, xs: relu(xs[0]), lambda layer, ss: ss[0]),
-    "upsample": LayerRule(lambda layer, xs: upsample_trilinear(xs[0]),
+    "relu": LayerRule(lambda layer, xs, buffers=FRESH: relu(xs[0], buffers),
+                      lambda layer, ss: ss[0]),
+    "upsample": LayerRule(lambda layer, xs, buffers=FRESH: upsample_trilinear(xs[0], buffers),
                           lambda layer, ss: _regrid(ss[0], ss[0][1], 2, 1)),
-    "concat": LayerRule(lambda layer, xs: concat(xs),
+    "concat": LayerRule(lambda layer, xs, buffers=FRESH: concat(xs, buffers=buffers),
                         lambda layer, ss: _regrid(ss[0], sum(s[1] for s in ss), 1, 1)),
 }
 
@@ -276,19 +285,171 @@ def walk(net: NetworkGraph, x, visit) -> list:
 # -- forward -------------------------------------------------------------------
 
 
-def forward(net: NetworkGraph, x: Tensor) -> Tensor:
-    """Run the denoiser; output shape equals input shape."""
-    if len(x.shape) != 5 or x.shape[0] != 1 or x.shape[1] != 1:
-        raise ContractError(f"forward expects a [1, 1, H, W, D] tensor, got {x.shape}")
-    check_divisible(net.name, net.cfg.num_down, x.shape[2:], ShapeError)
+def _check_input(net: NetworkGraph, shape):
+    if len(shape) != 5 or shape[0] != 1 or shape[1] != 1:
+        raise ContractError(f"forward expects a [1, 1, H, W, D] tensor, got {shape}")
+    check_divisible(net.name, net.cfg.num_down, shape[2:], ShapeError)
+
+
+def _apply_checked(layer_id, layer, rule, xs, buffers: Buffers) -> Tensor:
+    out = rule.apply(layer, xs, buffers)
+    if not np.isfinite(out.data, out=buffers.scratch(out.shape, bool)).all():
+        raise NumericError(f"non-finite values after layer {layer_id} ({layer.kind})")
+    return out
+
+
+def forward(net: NetworkGraph, x: Tensor, plan: "_Plan | None" = None) -> Tensor:
+    """Run the denoiser; output shape equals input shape.
+
+    Without a plan every layer allocates its arrays and records the tape.
+    With one (``infer`` makes it) every layer writes into the plan's views
+    and nothing is recorded; the kernels and checks are the same.
+    """
+    _check_input(net, x.shape)
 
     def apply(layer_id, layer, rule, xs):
-        out = rule.apply(layer, xs)
-        if not np.all(np.isfinite(out.data)):
-            raise NumericError(f"non-finite values after layer {layer_id} ({layer.kind})")
-        return out
+        buffers = FRESH if plan is None else plan.layer(layer_id)
+        return _apply_checked(layer_id, layer, rule, xs, buffers)
 
-    return walk(net, x, apply)[-1]
+    out = walk(net, x, apply)[-1]
+    if plan is not None:
+        plan.scratch.fit()
+    return out
+
+
+# -- tape-free inference in a planned arena --------------------------------------
+
+_ALIGN = 64  # bytes; planned arrays start at multiples of this into their region
+
+
+def _nbytes(shape, dtype=np.float64) -> int:
+    n = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return -(-n // _ALIGN) * _ALIGN
+
+
+def _view(region: np.ndarray, offset: int, shape, dtype=np.float64) -> np.ndarray:
+    return np.ndarray(shape, dtype, buffer=region, offset=offset)
+
+
+def _pack(sizes, lifetimes) -> tuple[list[int], int]:
+    """Byte offsets for buffers live over inclusive [first, last] layer spans.
+
+    Greedy by size: the largest buffer is placed first, each at the lowest
+    offset clear of every placed buffer whose lifetime overlaps its own, so
+    buffers that are never live together share memory. Returns the offsets
+    and the region size.
+    """
+    offsets = [0] * len(sizes)
+    placed = []
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        first, last = lifetimes[i]
+        taken = sorted(
+            (offsets[j], offsets[j] + sizes[j])
+            for j in placed
+            if lifetimes[j][0] <= last and first <= lifetimes[j][1]
+        )
+        offset = 0
+        for lo, hi in taken:
+            if offset + sizes[i] <= lo:
+                break
+            offset = max(offset, hi)
+        offsets[i] = offset
+        placed.append(i)
+    return offsets, max((o + n for o, n in zip(offsets, sizes)), default=0)
+
+
+class _Scratch:
+    """One byte region each layer carves its kernel temporaries from, front to back.
+
+    ``reset`` starts a layer at the front. A request past the end is served
+    by a fresh array and raises ``need``; ``fit`` then grows the region to
+    the largest single layer's need, so from the second call at a shape on
+    every temporary is a view.
+    """
+
+    def __init__(self):
+        self.region = np.empty(0, np.uint8)
+        self.used = self.need = 0
+
+    def reset(self):
+        self.used = 0
+
+    def take(self, shape, dtype) -> np.ndarray:
+        start = self.used
+        self.used += _nbytes(shape, dtype)
+        self.need = max(self.need, self.used)
+        if self.used > self.region.size:
+            return np.empty(shape, dtype)
+        return _view(self.region, start, shape, dtype)
+
+    def fit(self):
+        if self.need > self.region.size:
+            self.region = np.empty(self.need, np.uint8)
+
+
+class _PlannedBuffers(Buffers):
+    """One layer's buffers in a plan: its planned output, the shared scratch, no tape."""
+
+    def __init__(self, out: np.ndarray | None, scratch: _Scratch):
+        self.out = out  # None: the network output, handed to the caller
+        self._scratch = scratch
+
+    def output(self, shape) -> np.ndarray:
+        return np.empty(shape) if self.out is None else self.out
+
+    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
+        return self._scratch.take(shape, dtype)
+
+    def result(self, data, parents, backward_fn) -> Tensor:
+        return Tensor(data)
+
+
+class _Plan:
+    """Where each layer of ``net`` writes at one input shape.
+
+    Layer outputs live from their layer to their last consumer and are
+    packed into one region (``_pack``); the last layer's output is not,
+    since it is returned. Kernel temporaries share one ``_Scratch``.
+    """
+
+    def __init__(self, net: NetworkGraph, shape):
+        self.shape = tuple(shape)
+        shapes = walk(net, self.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+        last_use = list(range(len(shapes)))
+        for layer_id, layer in enumerate(net.layers):
+            for i in layer.inputs:
+                if i >= 0:
+                    last_use[i] = max(last_use[i], layer_id)
+        kept = shapes[:-1]
+        sizes = [_nbytes(s) for s in kept]
+        offsets, nbytes = _pack(sizes, list(enumerate(last_use[:-1])))
+        self.region = np.empty(nbytes, np.uint8)
+        self.scratch = _Scratch()
+        self.buffers = [
+            _PlannedBuffers(_view(self.region, o, s), self.scratch) for o, s in zip(offsets, kept)
+        ] + [_PlannedBuffers(None, self.scratch)]
+
+    def layer(self, layer_id) -> _PlannedBuffers:
+        """The buffers of ``layer_id``, with the scratch region free again."""
+        self.scratch.reset()
+        return self.buffers[layer_id]
+
+
+def infer(net: NetworkGraph, x: np.ndarray) -> np.ndarray:
+    """``forward(net, Tensor(x)).data`` without the tape, bit for bit.
+
+    Every layer output and kernel temporary is a view of the plan kept on
+    ``net.plan`` for this input shape (built on the first call at a shape,
+    replacing the previous one), so a warm call allocates no volume-sized
+    array but the returned one, which belongs to the caller. The same
+    kernels run as in ``forward``, with the same checks and errors. One
+    call at a time per net: calls share the plan's memory.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_input(net, x.shape)
+    if net.plan is None or net.plan.shape != x.shape:
+        net.plan = _Plan(net, x.shape)
+    return forward(net, Tensor(x), net.plan).data
 
 
 # -- checkpoint I/O --------------------------------------------------------------

@@ -14,6 +14,21 @@ several nodes (``add`` hands the same gradient to both operands,
 traversal without a gradient, stores the first array it is given as is,
 and combines later ones out of place (``grad = grad + g``). Only leaves
 own their gradient buffers and accumulate into them in place.
+
+Interior gradients live for one traversal: ``backward`` drops them all
+when it ends, so only leaves hold gradients afterwards, and a training
+step's interior gradients are freed before the next step's forward
+rather than with their graph. They are dropped together, not each once
+its node's closure has run: that would also lower the traversal's own
+peak, but it lets the allocator trim the freed heap top mid-traversal,
+and the arrays allocated next fault it back in, which slowed the desk
+training step.
+
+Buffers: an op takes its output and temporary arrays from a ``Buffers``
+object and hands its result to ``Buffers.result``. The default, ``FRESH``,
+allocates every array and records the op on the tape; ``model.infer``
+passes views of a planned arena and records nothing. Each op's forward
+arithmetic is therefore written once and runs either way.
 """
 
 import numpy as np
@@ -183,15 +198,17 @@ def backward(loss: Tensor):
             _accumulate(loss, np.ones(loss.data.shape))
         return
     order = _topo_order(loss)
-    # Interior grads hold this traversal's arrays only (see the module
-    # docstring); leaf grads persist and keep accumulating.
-    for node in order:
-        if not node.is_leaf():
-            node.grad = None
     loss.grad = np.ones(loss.data.shape)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    try:
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+    finally:
+        # Interior grads hold this traversal's arrays only (see the module
+        # docstring); leaf grads persist and keep accumulating.
+        for node in order:
+            if not node.is_leaf():
+                node.grad = None
 
 
 def zero_grads(tensors):
@@ -203,6 +220,27 @@ def _result(data, parents, backward_fn) -> Tensor:
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
     return Tensor(data)
+
+
+class Buffers:
+    """Where an op's output and temporaries come from, and whether it records the tape.
+
+    This default allocates each array fresh and records the op (see the
+    module docstring); ``model.infer`` overrides all three methods.
+    """
+
+    def output(self, shape) -> np.ndarray:
+        return np.empty(shape)
+
+    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
+        """A temporary that is dead once the op returns (the tape may keep it)."""
+        return np.empty(shape, dtype)
+
+    def result(self, data, parents, backward_fn) -> Tensor:
+        return _result(data, parents, backward_fn)
+
+
+FRESH = Buffers()
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
@@ -259,17 +297,17 @@ def scalar_mul(a: Tensor, s) -> Tensor:
     return _result(a.data * s, (a,), _bw)
 
 
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """max(a, 0); NaN stays NaN. The same values as selecting on the mask,
     which branches on every voxel and is about 10x slower on a mask
     without pattern."""
-    mask = a.data > 0.0
+    mask = a.data > 0.0 if a.requires_grad else None  # only a taped result reads it
 
     def _bw(g):
         if a.requires_grad:
             _accumulate(a, g * mask)
 
-    return _result(np.maximum(a.data, 0.0), (a,), _bw)
+    return buffers.result(np.maximum(a.data, 0.0, out=buffers.output(a.shape)), (a,), _bw)
 
 
 def square(a: Tensor) -> Tensor:
@@ -298,7 +336,7 @@ def mean(a: Tensor) -> Tensor:
     return _result(np.array(a.data.mean()).reshape((1,)), (a,), _bw)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors, axis: int = 1, buffers: Buffers = FRESH) -> Tensor:
     """Concatenate along the channel axis; all other extents must match."""
     tensors = list(tensors)
     if len(tensors) < 2:
@@ -314,13 +352,15 @@ def concat(tensors, axis: int = 1) -> Tensor:
                 )
     widths = [t.shape[axis] for t in tensors]
     splits = np.cumsum(widths)[:-1]
+    out = buffers.output(base[:axis] + (sum(widths),) + base[axis + 1 :])
 
     def _bw(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 _accumulate(t, piece)
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
+    np.concatenate([t.data for t in tensors], axis=axis, out=out)
+    return buffers.result(out, tuple(tensors), _bw)
 
 
 def pad_zeros(a: Tensor, amounts) -> Tensor:

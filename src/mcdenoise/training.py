@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
-from .model import NetworkGraph, forward, save_checkpoint
+from .model import NetworkGraph, forward, infer, save_checkpoint
 from .phantom import NoisePair
 from .tensor import Tensor, backward, zero_grads
 
@@ -236,14 +236,14 @@ def write_loss_log(log, path):
 
 
 def denoise_volume(net: NetworkGraph, values: np.ndarray, normalization_dose: float = 80.0):
-    """Normalize, run the network, and return the denoised grid in Gy.
+    """Normalize, run the network without the tape (``model.infer``), and
+    return the denoised grid in Gy.
 
     The network output is unconstrained; the dose map is clamped to be
     nonnegative here rather than inside the net.
     """
-    x = Tensor(values[None, None] / normalization_dose)
-    out = forward(net, x)
-    return np.clip(out.data[0, 0], 0.0, None) * normalization_dose
+    out = infer(net, values[None, None] / normalization_dose)
+    return np.clip(out[0, 0], 0.0, None) * normalization_dose
 
 
 # -- scalar equivalence probe -----------------------------------------------------------

@@ -152,6 +152,14 @@ def test_denoise_zero_checkpoint_zero_volume(tmp_path):
     for view in ("axial", "coronal", "sagittal"):
         assert (out / f"denoised_{view}.pgm").exists()
         assert (out / f"input_{view}.pgm").exists()
+    assert_run_context(read_manifest(out / "run_manifest.txt"))
+
+
+def assert_run_context(manifest):
+    """A denoising run records what ran and how long one denoise took."""
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["blas_threads"] == "" or int(manifest["blas_threads"]) >= 1
+    assert float(manifest["denoise_ms_mean"]) > 0.0
 
 
 def test_denoise_missing_checkpoint_is_data_error(tmp_path):
@@ -315,6 +323,7 @@ def test_eval_csv_structure(tiny_pipeline, tmp_path):
     assert len(lines) - 1 == 2 * 2
     assert (out / "summary.txt").exists()
     assert any(name.endswith(".pgm") for name in os.listdir(out))
+    assert_run_context(read_manifest(out / "run_manifest.txt"))
 
 
 def test_eval_reproducible(tiny_pipeline, tmp_path):

@@ -1,12 +1,14 @@
+import gc
 import struct
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from mcdenoise import model as M
-from mcdenoise import perf
-from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError
+from mcdenoise import perf, training
+from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from mcdenoise.tensor import Tensor
 
 from helpers import guard_build_network
@@ -80,7 +82,7 @@ def test_layer_table_shape_rule_matches_applied_shape(build, extents):
 
 
 def test_forward_looks_kernels_up_at_call_time(monkeypatch):
-    # a tracer replaces these module attributes; forward must see the replacements
+    # a tracer replaces these module attributes; forward and infer must see the replacements
     kinds = {
         "voxel_unshuffle": "unshuffle",
         "voxel_shuffle": "shuffle",
@@ -98,9 +100,114 @@ def test_forward_looks_kernels_up_at_call_time(monkeypatch):
 
         monkeypatch.setattr(M, name, counted)
     net = M.build_proposed(DESK, seed=0)
-    M.forward(net, Tensor(np.ones((1, 1, 32, 32, 16))))
-    assert set(calls) == set(M.LAYER_RULES)
-    assert calls == Counter(layer.kind for layer in net.layers)
+    x = np.ones((1, 1, 32, 32, 16))
+    for run in (lambda: M.forward(net, Tensor(x)), lambda: M.infer(net, x)):
+        calls.clear()
+        run()
+        assert set(calls) == set(M.LAYER_RULES)
+        assert calls == Counter(layer.kind for layer in net.layers)
+
+
+# -- tape-free inference -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, extents",
+    [
+        (M.build_proposed, (32, 32, 16)),
+        (M.build_proposed, (64, 64, 32)),
+        (M.build_unet_baseline, (16, 16, 8)),
+    ],
+)
+def test_infer_is_forward_bit_for_bit(build, extents):
+    net = build(M.ScaledConfig(8, 3, extents), seed=2)
+    x = np.random.default_rng(9).normal(size=(1, 1) + extents)
+    want = M.forward(net, Tensor(x)).data
+    assert np.array_equal(M.infer(net, x), want)
+    assert np.array_equal(M.infer(net, x), want)  # warm: every buffer planned
+
+
+def test_infer_replans_on_a_new_shape():
+    net = M.build_proposed(DESK, seed=3)
+    rng = np.random.default_rng(10)
+    for extents in [(32, 32, 16), (16, 32, 16), (32, 32, 16)]:
+        x = rng.normal(size=(1, 1) + extents)
+        assert np.array_equal(M.infer(net, x), M.forward(net, Tensor(x)).data)
+        assert net.plan.shape == x.shape
+
+
+def test_infer_reuses_its_arena():
+    net = M.build_proposed(DESK, seed=4)
+    x = np.random.default_rng(11).normal(size=(1, 1, 32, 32, 16))
+    M.infer(net, x)
+    plan = net.plan
+    arena = [(r.ctypes.data, r.nbytes) for r in (plan.region, plan.scratch.region)]
+    for _ in range(2):
+        M.infer(net, x)
+        assert net.plan is plan
+        assert [(r.ctypes.data, r.nbytes) for r in (plan.region, plan.scratch.region)] == arena
+
+
+def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
+    net = M.build_proposed(M.ScaledConfig(8, 3, (64, 64, 32)), seed=0)
+    M.infer(net, np.zeros((1, 1, 64, 64, 32)))
+    views = [b.out for b in net.plan.buffers[:-1]]
+    last_use = list(range(len(views)))
+    for layer_id, layer in enumerate(net.layers):
+        for i in layer.inputs:
+            if i >= 0:
+                last_use[i] = max(last_use[i], layer_id)
+    for i in range(len(views)):
+        for j in range(i + 1, len(views)):
+            if j <= last_use[i]:
+                assert not np.shares_memory(views[i], views[j]), (i, j)
+    assert net.plan.region.nbytes < sum(v.nbytes for v in views)
+
+
+def test_infer_outputs_belong_to_the_caller():
+    net = M.build_proposed(DESK, seed=5)
+    rng = np.random.default_rng(12)
+    a_in, b_in = rng.uniform(0, 80, size=(2, 32, 32, 16))
+    a = training.denoise_volume(net, a_in)
+    a_copy = a.copy()
+    b = training.denoise_volume(net, b_in)
+    assert not np.shares_memory(a, b)
+    assert np.array_equal(a, a_copy)
+    x = rng.normal(size=(1, 1, 32, 32, 16))
+    first = M.infer(net, x)
+    assert not np.shares_memory(first, M.infer(net, x))
+
+
+def test_infer_plan_dies_with_the_net():
+    net = M.build_proposed(DESK, seed=6)
+    M.infer(net, np.zeros((1, 1, 32, 32, 16)))
+    plan = weakref.ref(net.plan)
+    del net
+    gc.collect()
+    assert plan() is None
+
+
+def test_infer_flags_non_finite_as_forward_does():
+    net = M.build_proposed(DESK, seed=0)
+    net.layers[1].spec.weights.data[0, 0, 0, 0, 0] = np.nan
+    x = np.ones((1, 1, 32, 32, 16))
+    with pytest.raises(NumericError) as taped:
+        M.forward(net, Tensor(x))
+    with pytest.raises(NumericError) as planned:
+        M.infer(net, x)
+    assert str(planned.value) == str(taped.value) == "non-finite values after layer 1 (conv)"
+
+
+@pytest.mark.parametrize("shape, error", [((1, 2, 32, 32, 16), ContractError),
+                                          ((32, 32, 16), ContractError),
+                                          ((1, 1, 30, 32, 16), ShapeError)])
+def test_infer_rejects_bad_extents_as_forward_does(shape, error):
+    net = M.build_proposed(DESK, seed=0)
+    with pytest.raises(error) as taped:
+        M.forward(net, Tensor(np.zeros(shape)))
+    with pytest.raises(error) as planned:
+        M.infer(net, np.zeros(shape))
+    assert str(planned.value) == str(taped.value)
 
 
 def test_unknown_layer_kind_is_config_error():

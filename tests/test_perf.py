@@ -5,6 +5,7 @@ from mcdenoise.errors import ContractError
 from mcdenoise.model import (
     PAPER_PROPOSED_CONFIG,
     PAPER_UNET_CONFIG,
+    NetworkGraph,
     ScaledConfig,
     build_proposed,
     build_unet_baseline,
@@ -59,8 +60,10 @@ def test_count_flops_invalid_extents():
 def test_count_params_examples():
     # a single 3x3x3 conv 1 -> 64 with bias
     net = build_unet_baseline(ScaledConfig(64, 1, (2, 2, 2)), seed=0)
-    first_conv = net.layers[0].spec
-    assert first_conv.n_params == 64 * 27 + 64 == 1792
+    first_conv = NetworkGraph(net.name, net.cfg, net.seed, net.layers[:1])
+    assert perf.count_params(first_conv) == 64 * 27 + 64 == 1792
+    # the whole net: that conv, its norm's scale and shift, the 3x3x3 conv 64 -> 1
+    assert perf.count_params(net) == 1792 + 2 * 64 + 64 * 27 + 1 == 3649
 
 
 def test_count_params_matches_graph_sum():

@@ -268,3 +268,37 @@ def test_fan_out_gradients():
     T.backward(loss)
     for t, g in zip(leaves, once):
         assert np.array_equal(t.grad, 2.0 * g)
+
+
+def _backward_keeping_interior_grads(loss):
+    """The traversal before interior gradients were dropped after their closures ran."""
+    order = T._topo_order(loss)
+    for node in order:
+        if not node.is_leaf():
+            node.grad = None
+    loss.grad = np.ones(loss.data.shape)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    return order
+
+
+def test_backward_drops_interior_grads_and_keeps_leaf_grads():
+    cfg = M.ScaledConfig(8, 3, (32, 32, 16))
+    rng = np.random.default_rng(48)
+    x = T.Tensor(rng.normal(size=(1, 1, 32, 32, 16)))
+    target = T.Tensor(rng.normal(size=(1, 1, 32, 32, 16)))
+
+    def leaf_grads(run_backward):
+        net = M.build_proposed(cfg, seed=2)
+        loss = (M.forward(net, x) - target).square().mean()
+        run_backward(loss)
+        return loss, [p.grad for p in net.param_tensors()]
+
+    kept_loss, kept = leaf_grads(_backward_keeping_interior_grads)
+    loss, dropped = leaf_grads(T.backward)
+    interior = [node for node in T._topo_order(loss) if not node.is_leaf()]
+    assert interior and all(node.grad is None for node in interior)
+    assert any(node.grad is not None for node in T._topo_order(kept_loss) if not node.is_leaf())
+    for got, want in zip(dropped, kept):
+        assert np.array_equal(got, want)
