@@ -9,10 +9,26 @@ kernel's forward arithmetic is written once.
 Convolutions use cross-correlation semantics (no kernel flip) with
 weights stored output-major as [c_out, c_in, k_h, k_w, k_d]. A conv pads
 (k - 1) // 2 zeros per dimension, so stride-1 convs preserve extents and
-stride-2 convs halve them. Every conv runs through ``conv3d``, which
-splits the padded input by stride phase once and then reads each kernel
-tap as a contiguous column slice of one phase: the taps become GEMMs on
-the input in place, in the forward and in the backward pass.
+stride-2 convs halve them. Every conv runs through ``conv3d``, whose
+forward takes one of three paths, chosen from the shape:
+
+- per tap (the rest): the padded input is split by stride phase once,
+  each kernel tap reads a contiguous column slice of one phase in place,
+  and the taps' GEMMs are summed on the phase grid;
+- stacked (``_gathers``: the phase grid has no more columns than the conv
+  has output channels, the deep wide levels): the tap slices are stacked
+  and run as one GEMM with the weights in place;
+- kn2row (``_reduces``: stride 1, c_in >= 4 c_out, and not stacked, the
+  pyramid convs after an upsample): one GEMM of every tap's weights on
+  the unpadded input, then each tap's response added at its shift.
+
+The backward pass always rebuilds the phase split and runs the per-tap or
+stacked adjoint GEMMs on its slices.
+
+The trilinear upsample doubles H, W, then D with a two-tap stencil, one
+batch item and one block of channels at a time: the intermediate passes
+and their terms stay in block-sized scratch, and only the last pass
+writes to the output.
 
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
@@ -20,6 +36,7 @@ sub-volume ``x[i::2, j::2, k::2]`` for i, j, k in {0, 1}. The voxel
 shuffle is its exact inverse; both are pure permutations.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +259,25 @@ def _gathers(c_out: int, cols: int) -> bool:
     return cols <= c_out
 
 
+def _reduces(spec: ConvSpec, cols: int) -> bool:
+    """Whether a conv runs every tap as one GEMM on the unpadded input (kn2row).
+
+    The phase-grid paths stream the c_in-channel input once per tap (or
+    copy it once per tap, stacked). kn2row (Anderson et al., "Low-memory
+    GEMM-based convolution algorithms for deep neural networks", 2017)
+    reads it once, in place, and writes taps * c_out values per voxel
+    instead, which is less traffic when the conv reduces channels
+    four-fold or more: the pyramid convs that follow an upsample. Only
+    stride-1 convs, where input and output voxels align, and only grids
+    where the per-tap path would run (``_gathers`` is false).
+    """
+    return (
+        spec.stride == (1, 1, 1)
+        and spec.c_in >= 4 * spec.c_out
+        and not _gathers(spec.c_out, cols)
+    )
+
+
 def _tap_matrices(w: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
     """[c_out, c_in, kh, kw, kd] -> contiguous [taps, c_out, c_in], taps row-major."""
     taps = w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1)
@@ -273,6 +309,46 @@ def _tap_sum(w: np.ndarray, views: list, buffers: Buffers) -> np.ndarray:
             if t:
                 acc += tmp
     return acc
+
+
+def _kn2row_sum(x: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.ndarray:
+    """The stride-1 conv of ``x`` by kn2row, without the bias: [B, c_out, H, W, D].
+
+    One GEMM of the tap-major weights [taps * c_out, c_in] with the input
+    [c_in, voxels] gives every tap's response at every input voxel. Output
+    voxel o takes tap (i, j, k)'s response at input voxel o + (i, j, k) - p
+    (p the padding); where that voxel is padding the tap adds nothing. So
+    each tap's block is added into the zeroed output over the range where
+    its source voxel exists, in the row-major tap order ``_tap_sum`` sums
+    in. A tap shifted only along H and W adds runs of whole W * D rows.
+
+    Each output sums the same products in the same order as the per-tap
+    path, and the proposed net's outputs are bit-identical to it. OpenBLAS
+    does not round every GEMM row alike across GEMM shapes, though: it
+    runs a one-row GEMM (c_out = 1) as a GEMV, and the last columns of a
+    per-tap GEMM through an edge kernel, so a UNet conv can differ from
+    the per-tap path by a few ulp.
+    """
+    b, c_in, *extents = x.shape
+    taps = _tap_matrices(spec.weights.data, buffers)
+    voxels = int(np.prod(extents))
+    responses = buffers.scratch((b, len(taps), spec.c_out) + tuple(extents))
+    with np.errstate(all="ignore"):
+        np.matmul(taps.reshape(-1, c_in), x.reshape(b, c_in, voxels),
+                  out=responses.reshape(b, -1, voxels))
+    out = buffers.output((b, spec.c_out) + tuple(extents))
+    out[...] = 0.0
+    # per axis and kernel index i: the output range and the input range it reads
+    axes = []
+    for k, n in zip(spec.kernel, extents):
+        shifts = [(k - 1) // 2 - i for i in range(k)]  # output index = input index + shift
+        axes.append([(slice(max(0, s), n + min(0, s)), slice(max(0, -s), n + min(0, -s)))
+                     for s in shifts])
+    for t, ranges in enumerate(itertools.product(*axes)):  # taps in row-major order
+        dst, src = zip(*ranges)
+        block = out[(Ellipsis,) + dst]
+        np.add(block, responses[(slice(None), t, Ellipsis) + src], out=block)
+    return out
 
 
 def _tap_sum_weight_grad(g_cols: np.ndarray, views: list, w_shape) -> np.ndarray:
@@ -307,23 +383,32 @@ def _tap_sum_input_grad(w: np.ndarray, g_cols: np.ndarray, dviews: list):
 def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH) -> Tensor:
     """Strided cross-correlation over (H, W, D) with "same" zero padding.
 
-    The input is padded and split by stride phase once (see ``_PhaseGrid``),
-    so every kernel tap reads a contiguous column slice of one phase in
-    place. The taps' [c_out, c_in] x [c_in, cols] GEMMs are summed on the
-    phase grid, one GEMM per tap or, on grids with no more columns than
-    output channels, one GEMM over the stacked slices (``_gathers``), and
-    the sum is cropped once to the output extents. The backward pass
-    rebuilds the split from ``x`` and runs the transposed GEMMs on the same
-    slices, with the output gradient zero on the cropped columns.
+    A stride-1 conv that reduces channels four-fold or more (``_reduces``)
+    runs kn2row: one GEMM of all taps' weights on the unpadded input, the
+    taps' responses then added at their shifts (``_kn2row_sum``). Every
+    other conv pads and splits the input by stride phase once (see
+    ``_PhaseGrid``), so every kernel tap reads a contiguous column slice
+    of one phase in place. The taps' [c_out, c_in] x [c_in, cols] GEMMs
+    are summed on the phase grid, one GEMM per tap or, on grids with no
+    more columns than output channels, one GEMM over the stacked slices
+    (``_gathers``), and the sum is cropped once to the output extents.
+    The backward pass of every conv rebuilds the split from ``x`` and runs
+    the transposed GEMMs on the same slices, with the output gradient zero
+    on the cropped columns.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"conv3d needs a 5-D tensor, got {x.shape}")
     if x.shape[1] != spec.c_in:
         raise ContractError(f"conv3d: input has {x.shape[1]} channels, spec wants {spec.c_in}")
     geo = _PhaseGrid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
-    acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
-    out = buffers.output((x.shape[0], spec.c_out) + geo.out)
-    np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), spec.bias.data.reshape(1, -1, 1, 1, 1), out=out)
+    bias = spec.bias.data.reshape(1, -1, 1, 1, 1)
+    if _reduces(spec, geo.cols):
+        out = _kn2row_sum(x.data, spec, buffers)
+        out += bias
+    else:
+        acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
+        out = buffers.output((x.shape[0], spec.c_out) + geo.out)
+        np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), bias, out=out)
 
     def _bw(g):
         if spec.bias.requires_grad:
@@ -413,24 +498,42 @@ def instance_norm(
 
 # -- trilinear upsampling -------------------------------------------------------
 
+# Bytes of block-local scratch per upsample block, at 14 doubles per input
+# voxel and channel: the H-doubled and HW-doubled copies (2 and 4 volumes)
+# and the 0.25x and 0.75x terms of the largest pass (4 each). Half of one
+# core's 2 MiB L2 on the machine it was measured on, which left room for the
+# output stream; the sweep that chose it is in BENCH_8.json.
+_UPSAMPLE_BLOCK_BYTES = 2**20
 
-def _lerp_axis(a: np.ndarray, axis: int, out: np.ndarray, buffers: Buffers) -> np.ndarray:
-    """Double ``axis`` into ``out``: even[i] = 0.25 a[i-1] + 0.75 a[i],
-    odd[i] = 0.75 a[i] + 0.25 a[i+1], with a[-1] and a[n] clamped to the edge voxels."""
-    quarter = np.multiply(0.25, a, out=buffers.scratch(a.shape))
-    three = np.multiply(0.75, a, out=buffers.scratch(a.shape))
-    y = np.moveaxis(out, axis, 0)
-    quarter, three = np.moveaxis(quarter, axis, 0), np.moveaxis(three, axis, 0)
-    even, odd = y[0::2], y[1::2]
-    np.add(quarter[:-1], three[1:], out=even[1:])
-    np.add(quarter[:1], three[:1], out=even[:1])
-    np.add(three[:-1], quarter[1:], out=odd[:-1])
-    np.add(three[-1:], quarter[-1:], out=odd[-1:])
-    return out
+
+def _double_axis(a: np.ndarray, out: np.ndarray, quarter: np.ndarray, three: np.ndarray):
+    """Double the middle axis of ``a`` [R, n, S] into ``out`` [R, 2n, S]:
+    even[i] = 0.25 a[i-1] + 0.75 a[i], odd[i] = 0.75 a[i] + 0.25 a[i+1],
+    with a[-1] and a[n] clamped to the edge values.
+
+    ``quarter`` and ``three`` are flat scratch for the 0.25x and 0.75x
+    terms. Both stencils run as one shift over all R * n rows of S values,
+    so the inner loop spans the whole block even when S is 1 (the D
+    pass); the shift is wrong only where it crosses from one R-row into
+    the next, at i = 0 for even and i = n - 1 for odd, and those two
+    n-th parts are then rewritten with the clamped edge.
+    """
+    r, n, s = a.shape
+    rows = a.reshape(r * n, s)
+    q = np.multiply(0.25, rows, out=quarter[: a.size].reshape(rows.shape))
+    t = np.multiply(0.75, rows, out=three[: a.size].reshape(rows.shape))
+    pairs = out.reshape(r * n, 2, s)
+    even, odd = pairs[:, 0], pairs[:, 1]
+    np.add(q[:-1], t[1:], out=even[1:])
+    np.add(t[:-1], q[1:], out=odd[:-1])
+    q, t = q.reshape(a.shape), t.reshape(a.shape)
+    even, odd = even.reshape(a.shape), odd.reshape(a.shape)
+    np.add(q[:, 0], t[:, 0], out=even[:, 0])
+    np.add(t[:, -1], q[:, -1], out=odd[:, -1])
 
 
 def _lerp_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of ``_lerp_axis``: halve ``axis`` of the output gradient ``g``.
+    """Transpose of ``_double_axis``: halve ``axis`` of the output gradient ``g``.
 
     Input voxel i collects 0.75 g[2i+1] + 0.25 g[2i+2] from the odd outputs
     and 0.25 g[2i-1] + 0.75 g[2i] from the even ones, the edges clamped.
@@ -470,18 +573,33 @@ def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
     replication, applied separably along H, W, then D. Along one axis this
     is a fixed two-tap stencil written into the even and odd outputs:
     out[2i] = 0.25 x[i-1] + 0.75 x[i] and out[2i+1] = 0.75 x[i] + 0.25 x[i+1],
-    with x[-1] = x[0] and x[n] = x[n-1]. The backward pass applies the
-    transposed stencil (``_lerp_axis_adjoint``) along D, W, then H; neither
-    pass gathers or scatters by index.
+    with x[-1] = x[0] and x[n] = x[n-1] (``_double_axis``). The forward
+    runs one batch item and one block of channels at a time: the H and W
+    passes and every 0.25x/0.75x term live in block-sized scratch that
+    stays in cache (``_UPSAMPLE_BLOCK_BYTES``), and only the D pass writes
+    to the output. The backward pass applies the transposed stencil
+    (``_lerp_axis_adjoint``) along D, W, then H; neither pass gathers or
+    scatters by index.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"upsample_trilinear needs a 5-D tensor, got {x.shape}")
-    out = x.data
-    for axis in (2, 3, 4):
-        shape = list(out.shape)
-        shape[axis] *= 2
-        doubled = buffers.output(tuple(shape)) if axis == 4 else buffers.scratch(shape)
-        out = _lerp_axis(out, axis, doubled, buffers)
+    b, c, h, w, d = x.shape
+    voxels = h * w * d
+    block = min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (14 * 8 * voxels)))
+    h_doubled = buffers.scratch((block, 2 * h, w, d))
+    hw_doubled = buffers.scratch((block, 2 * h, 2 * w, d))
+    quarter = buffers.scratch(block * 4 * voxels)
+    three = buffers.scratch(block * 4 * voxels)
+    out = buffers.output((b, c, 2 * h, 2 * w, 2 * d))
+    for i in range(b):
+        for c0 in range(0, c, block):
+            m = min(block, c - c0)
+            src, dst = x.data[i, c0 : c0 + m], out[i, c0 : c0 + m]
+            hd, hwd = h_doubled[:m], hw_doubled[:m]
+            # each pass doubles the middle axis of an [R, n, S] view: H, W, then D
+            _double_axis(src.reshape(m, h, -1), hd.reshape(m, 2 * h, -1), quarter, three)
+            _double_axis(hd.reshape(-1, w, d), hwd.reshape(-1, 2 * w, d), quarter, three)
+            _double_axis(hwd.reshape(-1, d, 1), dst.reshape(-1, 2 * d, 1), quarter, three)
 
     def _bw(g):
         if x.requires_grad:

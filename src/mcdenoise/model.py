@@ -4,12 +4,13 @@ Both networks are expressed as a flat layer list with explicit wiring:
 each layer names the layers it consumes (index -1 is the network input).
 ``walk`` feeds each layer its producers' values in layer order together
 with the layer's entry in ``LAYER_RULES``, the one table of how each kind
-applies to tensors and to shapes: ``forward`` walks tensors and
-``perf.count_flops`` walks shapes. ``infer`` is the forward without the
-tape: a shape walk plans one arena for every layer output (outputs whose
-lifetimes do not overlap share memory) and one scratch region for the
-kernels' temporaries, and the tensor walk runs the same kernels in views
-of it. Parameter iteration and checkpointing use the same layer list.
+applies to tensors and to shapes and which parameters it holds:
+``forward`` walks tensors and ``perf.count_flops`` walks shapes.
+``infer`` is the forward without the tape: a shape walk plans one arena
+for every layer output (outputs whose lifetimes do not overlap share
+memory) and one scratch region for the kernels' temporaries, and the
+tensor walk runs the same kernels in views of it. Parameter iteration,
+checkpoint records and parameter counts read the table's params column.
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -90,11 +91,8 @@ class Layer:
     stage: str = ""  # input | backbone | pyramid | head
 
     def params(self) -> list[tuple[str, Tensor]]:
-        if self.kind == "conv":
-            return [("weights", self.spec.weights), ("bias", self.spec.bias)]
-        if self.kind == "inorm":
-            return [("scale", self.scale), ("shift", self.shift)]
-        return []
+        """(name, tensor) pairs in checkpoint order, from the ``LAYER_RULES`` params column."""
+        return _rule(self.kind).params(self)
 
 
 @dataclass
@@ -232,8 +230,9 @@ def build_network(name: str, cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
 
 # -- the layer table and its walker -----------------------------------------------
 
-# apply(layer, inputs, buffers=FRESH) -> output tensor; shape(layer, input shapes) -> shape
-LayerRule = namedtuple("LayerRule", "apply shape")
+# apply(layer, inputs, buffers=FRESH) -> output tensor; shape(layer, input shapes) -> shape;
+# params(layer) -> the layer's (name, tensor) pairs, none unless a kind says otherwise
+LayerRule = namedtuple("LayerRule", "apply shape params", defaults=(lambda layer: [],))
 
 
 def _regrid(shape, channels, num, den):
@@ -257,10 +256,12 @@ LAYER_RULES = {
     "shuffle": LayerRule(lambda layer, xs, buffers=FRESH: voxel_shuffle(xs[0], buffers),
                          lambda layer, ss: _regrid(ss[0], ss[0][1] // 8, 2, 1)),
     "conv": LayerRule(lambda layer, xs, buffers=FRESH: conv3d(xs[0], layer.spec, buffers),
-                      _conv_shape),
+                      _conv_shape,
+                      lambda layer: [("weights", layer.spec.weights), ("bias", layer.spec.bias)]),
     "inorm": LayerRule(lambda layer, xs, buffers=FRESH: instance_norm(
                            xs[0], layer.scale, layer.shift, buffers=buffers),
-                       lambda layer, ss: ss[0]),
+                       lambda layer, ss: ss[0],
+                       lambda layer: [("scale", layer.scale), ("shift", layer.shift)]),
     "relu": LayerRule(lambda layer, xs, buffers=FRESH: relu(xs[0], buffers),
                       lambda layer, ss: ss[0]),
     "upsample": LayerRule(lambda layer, xs, buffers=FRESH: upsample_trilinear(xs[0], buffers),
@@ -270,15 +271,20 @@ LAYER_RULES = {
 }
 
 
+def _rule(kind: str) -> LayerRule:
+    """The ``LAYER_RULES`` entry of ``kind``; a ``ConfigError`` for a kind it lacks."""
+    if kind not in LAYER_RULES:
+        raise ConfigError(f"unknown layer kind {kind!r}")
+    return LAYER_RULES[kind]
+
+
 def walk(net: NetworkGraph, x, visit) -> list:
     """Every layer's value, in layer order, from ``visit(layer_id, layer, rule, inputs)``
     with the layer's ``LAYER_RULES`` entry and its producers' values (-1 gives ``x``)."""
     values = []
     for layer_id, layer in enumerate(net.layers):
-        if layer.kind not in LAYER_RULES:
-            raise ConfigError(f"unknown layer kind {layer.kind!r}")
         inputs = [x if i == -1 else values[i] for i in layer.inputs]
-        values.append(visit(layer_id, layer, LAYER_RULES[layer.kind], inputs))
+        values.append(visit(layer_id, layer, _rule(layer.kind), inputs))
     return values
 
 

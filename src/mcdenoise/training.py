@@ -240,10 +240,13 @@ def denoise_volume(net: NetworkGraph, values: np.ndarray, normalization_dose: fl
     return the denoised grid in Gy.
 
     The network output is unconstrained; the dose map is clamped to be
-    nonnegative here rather than inside the net.
+    nonnegative here rather than inside the net. ``infer``'s output
+    belongs to the caller, so it is clamped and scaled in place.
     """
-    out = infer(net, values[None, None] / normalization_dose)
-    return np.clip(out[0, 0], 0.0, None) * normalization_dose
+    out = infer(net, values[None, None] / normalization_dose)[0, 0]
+    np.clip(out, 0.0, None, out=out)
+    out *= normalization_dose
+    return out
 
 
 # -- scalar equivalence probe -----------------------------------------------------------

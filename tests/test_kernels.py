@@ -136,8 +136,12 @@ def test_conv_strided_matches_loop_oracle():
         ((1, 3, 1, 1, 2), 4, (1, 1, 3), (1, 1, 2), (1, 4, 1, 1, 1)),
         ((1, 3, 2, 2, 2), 4, (3, 3, 1), (2, 2, 1), (1, 4, 1, 1, 2)),
         ((1, 3, 1, 1, 2), 4, (3, 3, 1), (1, 1, 1), (1, 4, 1, 1, 2)),
+        # stride-1 convs reducing channels four-fold or more: kn2row
+        ((1, 8, 5, 6, 4), 2, (3, 3, 1), (1, 1, 1), (1, 2, 5, 6, 4)),
+        ((2, 12, 4, 3, 6), 3, (1, 1, 3), (1, 1, 1), (2, 3, 4, 3, 6)),
+        ((1, 9, 4, 5, 3), 2, (3, 3, 3), (1, 1, 1), (1, 2, 4, 5, 3)),
     ]
-    gathered = set()
+    paths = set()
     for shape, c_out, kernel, stride, out_shape in cases:
         x = rng.normal(size=shape)
         spec = _spec(rng, shape[1], c_out, kernel, stride)
@@ -146,8 +150,12 @@ def test_conv_strided_matches_loop_oracle():
         assert got.shape == out_shape
         assert np.max(np.abs(got - want)) < 1e-10
         geo = K._PhaseGrid(shape[0], shape[2:], kernel, stride)
-        gathered.add(K._gathers(c_out, geo.cols))
-    assert gathered == {True, False}  # a GEMM per tap and one over the stacked taps
+        if K._reduces(spec, geo.cols):
+            paths.add("kn2row")
+            assert stride == (1, 1, 1)
+        else:
+            paths.add("stacked" if K._gathers(c_out, geo.cols) else "per tap")
+    assert paths == {"per tap", "stacked", "kn2row"}
 
 
 def test_conv_channel_mismatch():
@@ -282,12 +290,30 @@ def test_upsample_matches_eight_neighbour_oracle():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-# extents 1 and 2 (an axis that is all edge), odd extents, and batch 2
-UPSAMPLE_SHAPES = [(1, 2, 1, 1, 1), (2, 3, 5, 4, 3), (1, 4, 1, 7, 2), (1, 32, 2, 2, 1)]
+# extents 1 and 2 (an axis that is all edge), odd extents, batch 2, several
+# channel blocks, and the paper-width pyramid level
+UPSAMPLE_SHAPES = [
+    (1, 2, 1, 1, 1),
+    (2, 3, 5, 4, 3),
+    (1, 4, 1, 7, 2),
+    (1, 32, 2, 2, 1),
+    (1, 10, 4, 3, 5),
+    (2, 5, 3, 4, 2),
+    (1, 128, 16, 16, 16),
+]
+# channels per block where the test shrinks it: blocks of 3, 3, 3 and 1
+# channels, and of 3 and 2 per batch item
+UPSAMPLE_BLOCKS = {(1, 10, 4, 3, 5): 3, (2, 5, 3, 4, 2): 3}
 
 
 @pytest.mark.parametrize("shape", UPSAMPLE_SHAPES)
-def test_upsample_bit_identical_to_take_scatter_oracle(shape):
+def test_upsample_bit_identical_to_take_scatter_oracle(shape, monkeypatch):
+    block = UPSAMPLE_BLOCKS.get(shape)
+    if block is not None:
+        # the budget of ``block`` channels' scratch: 14 doubles per input voxel each
+        voxels = shape[2] * shape[3] * shape[4]
+        monkeypatch.setattr(K, "_UPSAMPLE_BLOCK_BYTES", block * 14 * 8 * voxels)
+        assert shape[1] > block and shape[1] % block  # several blocks, the last one partial
     rng = np.random.default_rng(sum(shape))
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     out = K.upsample_trilinear(x)
@@ -325,6 +351,14 @@ def test_gradcheck_conv_strided():
         x = _rand(rng, shape, requires_grad=True)
         spec = _spec(rng, shape[1], c_out, (3, 3, 3), stride)
         check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
+
+
+def test_gradcheck_conv_kn2row():
+    rng = np.random.default_rng(23)
+    x = _rand(rng, (1, 8, 3, 4, 3), requires_grad=True)
+    spec = _spec(rng, 8, 2, (3, 3, 1), (1, 1, 1))
+    assert K._reduces(spec, K._PhaseGrid(1, x.shape[2:], spec.kernel, spec.stride).cols)
+    check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
 
 
 def test_gradcheck_axial_and_slice():

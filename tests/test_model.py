@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mcdenoise import kernels as K
 from mcdenoise import model as M
 from mcdenoise import perf, training
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
@@ -127,6 +128,24 @@ def test_infer_is_forward_bit_for_bit(build, extents):
     assert np.array_equal(M.infer(net, x), want)  # warm: every buffer planned
 
 
+def test_infer_is_forward_bit_for_bit_through_kn2row():
+    # base 16, two modules: the top pyramid conv maps 32 channels to 8 at 8x8x4
+    net = M.build_proposed(M.ScaledConfig(16, 2, (16, 16, 8)), seed=7)
+    x = np.random.default_rng(13).normal(size=(1, 1, 16, 16, 8))
+    shapes = M.walk(net, x.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+    top = max(i for i, layer in enumerate(net.layers)
+              if layer.stage == "pyramid" and layer.kind == "conv" and layer.spec.kernel == (3, 3, 1))
+    spec = net.layers[top].spec
+    geo = K._PhaseGrid(1, shapes[net.layers[top].inputs[0]][2:], spec.kernel, spec.stride)
+    assert (spec.c_in, spec.c_out) == (32, 8) and K._reduces(spec, geo.cols)
+    want = M.forward(net, Tensor(x)).data
+    assert np.array_equal(M.infer(net, x), want)
+    scratch = net.plan.scratch.region
+    arena = (scratch.ctypes.data, scratch.nbytes)
+    assert np.array_equal(M.infer(net, x), want)
+    assert (net.plan.scratch.region.ctypes.data, net.plan.scratch.region.nbytes) == arena
+
+
 def test_infer_replans_on_a_new_shape():
     net = M.build_proposed(DESK, seed=3)
     rng = np.random.default_rng(10)
@@ -217,6 +236,8 @@ def test_unknown_layer_kind_is_config_error():
         M.forward(net, Tensor(np.ones((1, 1, 32, 32, 16))))
     with pytest.raises(ConfigError, match="dropout"):
         perf.count_flops(net, (32, 32, 16))
+    with pytest.raises(ConfigError, match="dropout"):
+        perf.count_params(net)
 
 
 # -- structural ledgers ----------------------------------------------------------------

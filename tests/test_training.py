@@ -3,7 +3,7 @@ import pytest
 
 from mcdenoise import training as TR
 from mcdenoise.errors import ConfigError, ContractError
-from mcdenoise.model import ScaledConfig, build_proposed, forward, load_checkpoint
+from mcdenoise.model import ScaledConfig, build_proposed, forward, infer, load_checkpoint
 from mcdenoise.phantom import DoseVolume, NoisePair
 from mcdenoise.tensor import Tensor, backward, zero_grads
 
@@ -255,6 +255,15 @@ def test_denoise_volume_roundtrip_scale():
         t.data[...] = 0.0
     out = TR.denoise_volume(net, np.zeros((16, 16, 8)))
     assert np.all(out == 0.0)
+
+
+def test_denoise_volume_clamps_and_scales_infer_output_in_place():
+    net = _desk_net(seed=8)
+    values = np.random.default_rng(14).uniform(0.0, 80.0, size=(16, 16, 8))
+    want = np.clip(infer(net, values[None, None] / 80.0)[0, 0], 0.0, None) * 80.0
+    got = TR.denoise_volume(net, values)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(want == 0.0) and np.all(got >= 0.0)  # the clamp ran
 
 
 # -- equivalence probe ----------------------------------------------------------------------
