@@ -18,9 +18,10 @@ forward takes one of three paths, chosen from the shape:
 - stacked (``_gathers``: the phase grid has no more columns than the conv
   has output channels, the deep wide levels): the tap slices are stacked
   and run as one GEMM with the weights in place;
-- kn2row (``_reduces``: stride 1, c_in >= 4 c_out, and not stacked, the
-  pyramid convs after an upsample): one GEMM of every tap's weights on
-  the unpadded input, then each tap's response added at its shift.
+- kn2row (``_reduces``: stride 1, taps * c_out <= c_in, and not stacked,
+  the top pyramid conv of a wide net and a wide UNet's head): one GEMM of
+  every tap's weights on the unpadded input, then each tap's response
+  added at its shift.
 
 The backward pass always rebuilds the phase split and runs the per-tap or
 stacked adjoint GEMMs on its slices.
@@ -265,15 +266,23 @@ def _reduces(spec: ConvSpec, cols: int) -> bool:
     The phase-grid paths stream the c_in-channel input once per tap (or
     copy it once per tap, stacked). kn2row (Anderson et al., "Low-memory
     GEMM-based convolution algorithms for deep neural networks", 2017)
-    reads it once, in place, and writes taps * c_out values per voxel
-    instead, which is less traffic when the conv reduces channels
-    four-fold or more: the pyramid convs that follow an upsample. Only
-    stride-1 convs, where input and output voxels align, and only grids
-    where the per-tap path would run (``_gathers`` is false).
+    reads it once, in place, and writes taps * c_out response values per
+    voxel instead. With taps * c_out <= c_in the responses are no larger
+    than the input, so no larger than the phase split they replace, and
+    they are written once where the per-tap path reads the split once per
+    tap: 128 -> 8 channels by a (3, 3, 1) kernel at 32^3 took 23 against
+    42 ms per call (one x86-64 core, one BLAS thread). Where the responses
+    outgrow the input, kn2row was slower at small extents (32 -> 8 at
+    16x16x8: 0.71 against 0.48 ms) and its scratch grows past the split
+    (6.75 times the input for a 3x3x3 conv at c_in = 4 c_out), so those
+    convs stay on the phase grid.
+    Only stride-1 convs, where input and output voxels align, and only
+    grids where the per-tap path would run (``_gathers`` is false).
     """
+    taps = spec.kernel[0] * spec.kernel[1] * spec.kernel[2]
     return (
         spec.stride == (1, 1, 1)
-        and spec.c_in >= 4 * spec.c_out
+        and taps * spec.c_out <= spec.c_in
         and not _gathers(spec.c_out, cols)
     )
 
@@ -324,10 +333,10 @@ def _kn2row_sum(x: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.ndarray:
 
     Each output sums the same products in the same order as the per-tap
     path, and the proposed net's outputs are bit-identical to it. OpenBLAS
-    does not round every GEMM row alike across GEMM shapes, though: it
-    runs a one-row GEMM (c_out = 1) as a GEMV, and the last columns of a
-    per-tap GEMM through an edge kernel, so a UNet conv can differ from
-    the per-tap path by a few ulp.
+    does not round every GEMM row alike across GEMM shapes, though: the
+    per-tap path's one-row GEMMs of a c_out = 1 conv run as GEMVs, so a
+    wide UNet's head (c_in >= 27) differs from the per-tap path by a few
+    ulp.
     """
     b, c_in, *extents = x.shape
     taps = _tap_matrices(spec.weights.data, buffers)
@@ -383,7 +392,7 @@ def _tap_sum_input_grad(w: np.ndarray, g_cols: np.ndarray, dviews: list):
 def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH) -> Tensor:
     """Strided cross-correlation over (H, W, D) with "same" zero padding.
 
-    A stride-1 conv that reduces channels four-fold or more (``_reduces``)
+    A stride-1 conv with no more taps * c_out than c_in (``_reduces``)
     runs kn2row: one GEMM of all taps' weights on the unpadded input, the
     taps' responses then added at their shifts (``_kn2row_sum``). Every
     other conv pads and splits the input by stride phase once (see

@@ -136,10 +136,12 @@ def test_conv_strided_matches_loop_oracle():
         ((1, 3, 1, 1, 2), 4, (1, 1, 3), (1, 1, 2), (1, 4, 1, 1, 1)),
         ((1, 3, 2, 2, 2), 4, (3, 3, 1), (2, 2, 1), (1, 4, 1, 1, 2)),
         ((1, 3, 1, 1, 2), 4, (3, 3, 1), (1, 1, 1), (1, 4, 1, 1, 2)),
-        # stride-1 convs reducing channels four-fold or more: kn2row
-        ((1, 8, 5, 6, 4), 2, (3, 3, 1), (1, 1, 1), (1, 2, 5, 6, 4)),
+        # stride-1 convs with taps * c_out <= c_in: kn2row
+        ((1, 18, 5, 6, 4), 2, (3, 3, 1), (1, 1, 1), (1, 2, 5, 6, 4)),
         ((2, 12, 4, 3, 6), 3, (1, 1, 3), (1, 1, 1), (2, 3, 4, 3, 6)),
-        ((1, 9, 4, 5, 3), 2, (3, 3, 3), (1, 1, 1), (1, 2, 4, 5, 3)),
+        ((1, 27, 4, 5, 3), 1, (3, 3, 3), (1, 1, 1), (1, 1, 4, 5, 3)),
+        # a four-fold reduction with more responses than input channels: per tap
+        ((1, 8, 5, 6, 4), 2, (3, 3, 1), (1, 1, 1), (1, 2, 5, 6, 4)),
     ]
     paths = set()
     for shape, c_out, kernel, stride, out_shape in cases:
@@ -156,6 +158,24 @@ def test_conv_strided_matches_loop_oracle():
         else:
             paths.add("stacked" if K._gathers(c_out, geo.cols) else "per tap")
     assert paths == {"per tap", "stacked", "kn2row"}
+
+
+S1 = (1, 1, 1)
+
+
+@pytest.mark.parametrize("c_in, c_out, kernel, stride, extents, takes", [
+    (128, 8, (3, 3, 1), S1, (32, 32, 32), True),  # paper-width top pyramid conv
+    (128, 1, (3, 3, 3), S1, (64, 64, 64), True),  # paper-width UNet head
+    (256, 64, (3, 3, 1), S1, (16, 16, 16), False),  # 9 * 64 responses per voxel > 256
+    (32, 8, (3, 3, 1), S1, (16, 16, 8), False),  # desk top pyramid conv
+    (16, 1, (3, 3, 3), S1, (64, 64, 32), False),  # desk UNet head
+    (256, 64, (3, 3, 3), S1, (32, 32, 32), False),  # UNet decoder conv
+    (128, 8, (3, 3, 1), (2, 2, 1), (32, 32, 32), False),  # input and output voxels differ
+])
+def test_kn2row_only_where_the_responses_fit_in_the_input(
+        c_in, c_out, kernel, stride, extents, takes):
+    spec = _spec(np.random.default_rng(24), c_in, c_out, kernel, stride)
+    assert K._reduces(spec, K._PhaseGrid(1, extents, kernel, stride).cols) == takes
 
 
 def test_conv_channel_mismatch():
@@ -355,8 +375,8 @@ def test_gradcheck_conv_strided():
 
 def test_gradcheck_conv_kn2row():
     rng = np.random.default_rng(23)
-    x = _rand(rng, (1, 8, 3, 4, 3), requires_grad=True)
-    spec = _spec(rng, 8, 2, (3, 3, 1), (1, 1, 1))
+    x = _rand(rng, (1, 9, 3, 4, 3), requires_grad=True)
+    spec = _spec(rng, 9, 1, (3, 3, 1), (1, 1, 1))
     assert K._reduces(spec, K._PhaseGrid(1, x.shape[2:], spec.kernel, spec.stride).cols)
     check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
 

@@ -129,21 +129,55 @@ def test_infer_is_forward_bit_for_bit(build, extents):
 
 
 def test_infer_is_forward_bit_for_bit_through_kn2row():
-    # base 16, two modules: the top pyramid conv maps 32 channels to 8 at 8x8x4
-    net = M.build_proposed(M.ScaledConfig(16, 2, (16, 16, 8)), seed=7)
+    # base 40, two modules: the top pyramid conv maps 80 channels to 8 at 8x8x4
+    net = M.build_proposed(M.ScaledConfig(40, 2, (16, 16, 8)), seed=7)
     x = np.random.default_rng(13).normal(size=(1, 1, 16, 16, 8))
     shapes = M.walk(net, x.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
     top = max(i for i, layer in enumerate(net.layers)
               if layer.stage == "pyramid" and layer.kind == "conv" and layer.spec.kernel == (3, 3, 1))
     spec = net.layers[top].spec
     geo = K._PhaseGrid(1, shapes[net.layers[top].inputs[0]][2:], spec.kernel, spec.stride)
-    assert (spec.c_in, spec.c_out) == (32, 8) and K._reduces(spec, geo.cols)
+    assert (spec.c_in, spec.c_out) == (80, 8) and K._reduces(spec, geo.cols)
     want = M.forward(net, Tensor(x)).data
     assert np.array_equal(M.infer(net, x), want)
     scratch = net.plan.scratch.region
     arena = (scratch.ctypes.data, scratch.nbytes)
     assert np.array_equal(M.infer(net, x), want)
     assert (net.plan.scratch.region.ctypes.data, net.plan.scratch.region.nbytes) == arena
+
+
+@pytest.mark.parametrize("name, cfg", [
+    (M.UNET_BASELINE, M.ScaledConfig(16, 2, (16, 16, 8))),  # head: 32 -> 1 by 3x3x3
+    (M.PROPOSED, M.ScaledConfig(40, 2, (16, 16, 8))),  # top pyramid conv: 80 -> 8 by 3x3x1
+])
+def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
+    x = np.random.default_rng(15).normal(size=(1, 1) + cfg.input_extents)
+    net = M.build_network(name, cfg, seed=9)
+    shapes = M.walk(net, x.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+    kn2row = []
+    for layer in net.layers:
+        if layer.kind == "conv":
+            src = x.shape if layer.inputs[0] == -1 else shapes[layer.inputs[0]]
+            spec = layer.spec
+            if K._reduces(spec, K._PhaseGrid(1, src[2:], spec.kernel, spec.stride).cols):
+                kn2row.append((spec, np.random.default_rng(16).normal(size=src)))
+    assert len(kn2row) == 1
+
+    def scratch_need(spec, a):
+        scratch = M._Scratch()
+        K.conv3d(Tensor(a), spec, M._PlannedBuffers(None, scratch))
+        return scratch.need
+
+    got = M.infer(net, x)
+    arena = net.plan.scratch.region.nbytes
+    need = scratch_need(*kn2row[0])
+    monkeypatch.setattr(K, "_reduces", lambda spec, cols: False)
+    assert need < scratch_need(*kn2row[0])  # the responses are smaller than the phase split
+    net.plan = None
+    want = M.infer(net, x)
+    assert arena <= net.plan.scratch.region.nbytes
+    # a c_out = 1 conv's per-tap GEMMs run as GEMVs in OpenBLAS, rounded apart by an ulp or two
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_infer_replans_on_a_new_shape():
