@@ -18,13 +18,22 @@ forward takes one of three paths, chosen from the shape:
 - stacked (``_gathers``: the phase grid has no more columns than the conv
   has output channels, the deep wide levels): the tap slices are stacked
   and run as one GEMM with the weights in place;
-- kn2row (``_reduces``: stride 1, taps * c_out <= c_in, and not stacked,
-  the top pyramid conv of a wide net and a wide UNet's head): one GEMM of
-  every tap's weights on the unpadded input, then each tap's response
-  added at its shift.
+- coarse-first (``conv3d(..., upsampled=True)``, for a stride-1 conv whose
+  input is a 2x trilinear upsample): one GEMM of every tap's weights on
+  the upsample's coarse input, then the taps' responses upsampled and
+  added at their shifts, the upsample's input never upsampled itself.
+  ``model.forward`` takes it where ``coarse_first`` holds: the fine-grid
+  conv would not stack, and it saves at least
+  ``_COARSE_FIRST_FLOPS_PER_VALUE`` (160) GEMM FLOPs per upsampled value
+  it adds, 1.75 c_in c_out taps >= 160 (taps c_out - c_in). That is the
+  paper-width pyramid's three finest levels and a wide UNet's
+  decoder convs and head, never a conv of the desk nets.
 
-The backward pass always rebuilds the phase split and runs the per-tap or
-stacked adjoint GEMMs on its slices.
+A coarse-first conv executes 1/8 of its GEMM FLOPs plus the responses'
+upsample; ``perf.count_flops`` still counts the network as defined, an
+upsample followed by a conv on the fine grid. The per-tap and stacked
+backward passes rebuild the phase split and run the adjoint GEMMs on its
+slices; the coarse-first backward runs its GEMMs on the coarse grid.
 
 The trilinear upsample doubles H, W, then D with a two-tap stencil, one
 batch item and one block of channels at a time: the intermediate passes
@@ -37,7 +46,7 @@ sub-volume ``x[i::2, j::2, k::2]`` for i, j, k in {0, 1}. The voxel
 shuffle is its exact inverse; both are pure permutations.
 """
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,31 +269,44 @@ def _gathers(c_out: int, cols: int) -> bool:
     return cols <= c_out
 
 
-def _reduces(spec: ConvSpec, cols: int) -> bool:
-    """Whether a conv runs every tap as one GEMM on the unpadded input (kn2row).
+@functools.lru_cache(maxsize=128)
+def _phase_grid(batch: int, extents: tuple, kernel: tuple, stride: tuple) -> _PhaseGrid:
+    """The ``_PhaseGrid`` of one conv geometry, built once: it is read-only after ``__init__``."""
+    return _PhaseGrid(batch, extents, kernel, stride)
 
-    The phase-grid paths stream the c_in-channel input once per tap (or
-    copy it once per tap, stacked). kn2row (Anderson et al., "Low-memory
-    GEMM-based convolution algorithms for deep neural networks", 2017)
-    reads it once, in place, and writes taps * c_out response values per
-    voxel instead. With taps * c_out <= c_in the responses are no larger
-    than the input, so no larger than the phase split they replace, and
-    they are written once where the per-tap path reads the split once per
-    tap: 128 -> 8 channels by a (3, 3, 1) kernel at 32^3 took 23 against
-    42 ms per call (one x86-64 core, one BLAS thread). Where the responses
-    outgrow the input, kn2row was slower at small extents (32 -> 8 at
-    16x16x8: 0.71 against 0.48 ms) and its scratch grows past the split
-    (6.75 times the input for a 3x3x3 conv at c_in = 4 c_out), so those
-    convs stay on the phase grid.
-    Only stride-1 convs, where input and output voxels align, and only
-    grids where the per-tap path would run (``_gathers`` is false).
+
+# GEMM FLOPs a coarse-first conv must save per upsampled value it adds,
+# chosen by the sweep in BENCH_9.json over every upsample -> conv pair of
+# both nets at 8 to 64 base features. No pair lies between 144 and 201.6.
+# From 201.6 up coarse-first was faster on every grid of more than 32
+# coarse voxels (its per-call overhead, about 0.1 ms, lost on two of 4x4x2);
+# below 145 it also lost at larger grids. Every conv of the desk nets is at
+# 101 or less and stays on the direct path, so the desk outputs do not move.
+_COARSE_FIRST_FLOPS_PER_VALUE = 160
+
+
+def coarse_first(spec: ConvSpec, shape) -> bool:
+    """Whether the conv of a 2x trilinear upsample of a ``shape`` input runs coarse-first.
+
+    Both operators are linear and the upsample acts per channel, so the
+    conv's channel-mixing GEMM can run on the coarse input, at 1/8 of the
+    voxels, with each tap's c_out responses upsampled instead of the c_in
+    input channels (``conv3d(..., upsampled=True)``). Per fine voxel that
+    saves 2 * c_in * c_out * taps * 7/8 GEMM FLOPs and adds
+    taps * c_out - c_in upsampled values; the conv runs coarse-first when
+    it saves at least ``_COARSE_FIRST_FLOPS_PER_VALUE`` per value added,
+    so always when taps * c_out <= c_in. Only stride-1 convs, and only
+    where the fine-grid conv would not stack its taps (``_gathers``): on
+    those tiny grids the tap-major weight copy outweighs the GEMM.
     """
+    b, c, *extents = shape
     taps = spec.kernel[0] * spec.kernel[1] * spec.kernel[2]
-    return (
-        spec.stride == (1, 1, 1)
-        and taps * spec.c_out <= spec.c_in
-        and not _gathers(spec.c_out, cols)
-    )
+    if spec.stride != (1, 1, 1) or c != spec.c_in:
+        return False
+    fine = _phase_grid(b, tuple(2 * n for n in extents), spec.kernel, spec.stride)
+    saved = 1.75 * spec.c_in * spec.c_out * taps
+    return (not _gathers(spec.c_out, fine.cols)
+            and saved >= _COARSE_FIRST_FLOPS_PER_VALUE * (taps * spec.c_out - spec.c_in))
 
 
 def _tap_matrices(w: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
@@ -320,46 +342,6 @@ def _tap_sum(w: np.ndarray, views: list, buffers: Buffers) -> np.ndarray:
     return acc
 
 
-def _kn2row_sum(x: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.ndarray:
-    """The stride-1 conv of ``x`` by kn2row, without the bias: [B, c_out, H, W, D].
-
-    One GEMM of the tap-major weights [taps * c_out, c_in] with the input
-    [c_in, voxels] gives every tap's response at every input voxel. Output
-    voxel o takes tap (i, j, k)'s response at input voxel o + (i, j, k) - p
-    (p the padding); where that voxel is padding the tap adds nothing. So
-    each tap's block is added into the zeroed output over the range where
-    its source voxel exists, in the row-major tap order ``_tap_sum`` sums
-    in. A tap shifted only along H and W adds runs of whole W * D rows.
-
-    Each output sums the same products in the same order as the per-tap
-    path, and the proposed net's outputs are bit-identical to it. OpenBLAS
-    does not round every GEMM row alike across GEMM shapes, though: the
-    per-tap path's one-row GEMMs of a c_out = 1 conv run as GEMVs, so a
-    wide UNet's head (c_in >= 27) differs from the per-tap path by a few
-    ulp.
-    """
-    b, c_in, *extents = x.shape
-    taps = _tap_matrices(spec.weights.data, buffers)
-    voxels = int(np.prod(extents))
-    responses = buffers.scratch((b, len(taps), spec.c_out) + tuple(extents))
-    with np.errstate(all="ignore"):
-        np.matmul(taps.reshape(-1, c_in), x.reshape(b, c_in, voxels),
-                  out=responses.reshape(b, -1, voxels))
-    out = buffers.output((b, spec.c_out) + tuple(extents))
-    out[...] = 0.0
-    # per axis and kernel index i: the output range and the input range it reads
-    axes = []
-    for k, n in zip(spec.kernel, extents):
-        shifts = [(k - 1) // 2 - i for i in range(k)]  # output index = input index + shift
-        axes.append([(slice(max(0, s), n + min(0, s)), slice(max(0, -s), n + min(0, -s)))
-                     for s in shifts])
-    for t, ranges in enumerate(itertools.product(*axes)):  # taps in row-major order
-        dst, src = zip(*ranges)
-        block = out[(Ellipsis,) + dst]
-        np.add(block, responses[(slice(None), t, Ellipsis) + src], out=block)
-    return out
-
-
 def _tap_sum_weight_grad(g_cols: np.ndarray, views: list, w_shape) -> np.ndarray:
     """Adjoint of ``_tap_sum`` in w: g_cols @ views[t].T per tap."""
     c_out, cols = g_cols.shape
@@ -389,35 +371,38 @@ def _tap_sum_input_grad(w: np.ndarray, g_cols: np.ndarray, dviews: list):
             dview += tmp
 
 
-def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH) -> Tensor:
+def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool = False) -> Tensor:
     """Strided cross-correlation over (H, W, D) with "same" zero padding.
 
-    A stride-1 conv with no more taps * c_out than c_in (``_reduces``)
-    runs kn2row: one GEMM of all taps' weights on the unpadded input, the
-    taps' responses then added at their shifts (``_kn2row_sum``). Every
-    other conv pads and splits the input by stride phase once (see
+    The input is padded and split by stride phase once (see
     ``_PhaseGrid``), so every kernel tap reads a contiguous column slice
     of one phase in place. The taps' [c_out, c_in] x [c_in, cols] GEMMs
     are summed on the phase grid, one GEMM per tap or, on grids with no
     more columns than output channels, one GEMM over the stacked slices
     (``_gathers``), and the sum is cropped once to the output extents.
-    The backward pass of every conv rebuilds the split from ``x`` and runs
-    the transposed GEMMs on the same slices, with the output gradient zero
-    on the cropped columns.
+    The backward pass rebuilds the split from ``x`` and runs the
+    transposed GEMMs on the same slices, with the output gradient zero on
+    the cropped columns.
+
+    With ``upsampled`` the conv is applied to ``upsample_trilinear(x)``
+    and runs coarse-first (``_coarse_first_conv``): its GEMM on ``x``
+    itself, the taps' responses then upsampled and added at their shifts.
+    The caller decides when with ``coarse_first``; only stride-1 convs.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"conv3d needs a 5-D tensor, got {x.shape}")
     if x.shape[1] != spec.c_in:
         raise ContractError(f"conv3d: input has {x.shape[1]} channels, spec wants {spec.c_in}")
-    geo = _PhaseGrid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
-    bias = spec.bias.data.reshape(1, -1, 1, 1, 1)
-    if _reduces(spec, geo.cols):
-        out = _kn2row_sum(x.data, spec, buffers)
-        out += bias
-    else:
-        acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
-        out = buffers.output((x.shape[0], spec.c_out) + geo.out)
-        np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), bias, out=out)
+    if upsampled:
+        if spec.stride != (1, 1, 1):
+            raise ContractError(f"conv3d: only stride-1 convs run coarse-first, got {spec.stride}")
+        out = _coarse_first_conv(x.data, spec, buffers)
+        return buffers.result(out, (x, spec.weights, spec.bias),
+                              lambda g: _coarse_first_grads(g, x, spec))
+    geo = _phase_grid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
+    acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
+    out = buffers.output((x.shape[0], spec.c_out) + geo.out)
+    np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), spec.bias.data.reshape(1, -1, 1, 1, 1), out=out)
 
     def _bw(g):
         if spec.bias.requires_grad:
@@ -509,7 +494,8 @@ def instance_norm(
 
 # Bytes of block-local scratch per upsample block, at 14 doubles per input
 # voxel and channel: the H-doubled and HW-doubled copies (2 and 4 volumes)
-# and the 0.25x and 0.75x terms of the largest pass (4 each). Half of one
+# and the 0.25x and 0.75x terms of the largest pass (4 each); a coarse-first
+# conv's blocks of partial sums use the same budget. Half of one
 # core's 2 MiB L2 on the machine it was measured on, which left room for the
 # output stream; the sweep that chose it is in BENCH_8.json.
 _UPSAMPLE_BLOCK_BYTES = 2**20
@@ -618,3 +604,148 @@ def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
             _accumulate(x, dx)
 
     return buffers.result(out, (x,), _bw)
+
+
+# -- coarse-first convolution of an upsample -------------------------------------
+
+
+def _axis_shifts(k: int, n: int) -> list:
+    """Per kernel index i along an axis of extent n, the (dst, src) slices of a "same" conv.
+
+    Output index o takes index i's response at o + i - p (p the padding);
+    where that index is padding, index i adds nothing. So
+    ``out[dst] += response[src]`` adds it over the range where its source
+    exists.
+    """
+    shifts = [(k - 1) // 2 - i for i in range(k)]  # output index = input index + shift
+    return [(slice(max(0, s), n + min(0, s)), slice(max(0, -s), n + min(0, -s))) for s in shifts]
+
+
+def _axis_view(a: np.ndarray, axis: int) -> np.ndarray:
+    """[R, n, S] view of a contiguous [C, H, W, D] block, n its spatial ``axis`` (0, 1, 2)."""
+    return a.reshape(int(np.prod(a.shape[: 1 + axis])), a.shape[1 + axis], -1)
+
+
+def _shifted_doubles(parts, axis: int, shifts, target, tmp, quarter, three):
+    """target = sum over i of shift_i(double(parts[i])) along spatial ``axis``.
+
+    ``double`` is one ``_double_axis`` pass and ``shifts`` the kernel axis'
+    (dst, src) slices; the centre index, whose shift is zero, is doubled
+    straight into ``target`` and the others are doubled into the flat
+    scratch ``tmp`` and added at their shifts.
+    """
+    lead = (slice(None),) * (1 + axis)
+    centre = len(parts) // 2
+    _double_axis(_axis_view(parts[centre], axis), _axis_view(target, axis), quarter, three)
+    if len(parts) > 1:
+        tmp = tmp[: target.size].reshape(target.shape)
+    for i, (dst, src) in enumerate(shifts):
+        if i != centre:
+            _double_axis(_axis_view(parts[i], axis), _axis_view(tmp, axis), quarter, three)
+            block = target[lead + (dst,)]
+            np.add(block, tmp[lead + (src,)], out=block)
+
+
+def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.ndarray:
+    """The stride-1 conv of ``upsample_trilinear(p)`` with its bias: [B, c_out, 2h, 2w, 2d].
+
+    Both operators are linear and the upsample acts per channel, so
+    conv(up(p)) = sum over taps t of shift_t(up(W_t p)). One GEMM of the
+    tap-major weights [taps * c_out, c_in] with the coarse input
+    [c_in, voxels] gives every tap's c_out responses on the coarse grid
+    (kn2row: Anderson et al., "Low-memory GEMM-based convolution
+    algorithms for deep neural networks", 2017, here below the upsample).
+    The upsample doubles H, W, then D, and a shift along one axis commutes
+    with the passes along the others, so the taps are summed one axis at
+    a time: for each (j, k), A_jk = sum_i shift_i(up_H(R_ijk)); for each k,
+    B_k = sum_j shift_j(up_W(A_jk)); out = sum_k shift_k(up_D(B_k)). For a
+    (3, 3, 1) kernel that is 9 H passes, 3 W passes and 1 D pass, where
+    upsampling each tap's responses would run 9 of each. It runs one
+    batch item and one block of output channels at a time, so a block's
+    partial sums stay in cache (``_UPSAMPLE_BLOCK_BYTES``).
+    """
+    b, c_in, h, w, d = p.shape
+    kh, kw, kd = spec.kernel
+    c_out = spec.c_out
+    voxels = h * w * d
+    fine = (2 * h, 2 * w, 2 * d)
+    w_taps = _tap_matrices(spec.weights.data, buffers)
+    responses = buffers.scratch((b, kh, kw, kd, c_out, h, w, d))
+    with np.errstate(all="ignore"):
+        np.matmul(w_taps.reshape(-1, c_in), p.reshape(b, c_in, voxels),
+                  out=responses.reshape(b, -1, voxels))
+    # doubles per channel and coarse voxel: the partial sums A and B, the
+    # largest doubled off-centre tap (2, 4 or 8 after the H, W or D pass),
+    # and the 0.25x/0.75x terms of the largest pass
+    doubled = max([0] + [2 << axis for axis, k in enumerate(spec.kernel) if k > 1])
+    per_channel = 2 * kw * kd + 4 * kd + doubled + 8
+    m = min(c_out, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * 8 * voxels)))
+    part_h = buffers.scratch((kw, kd, m, 2 * h, w, d))
+    part_w = buffers.scratch((kd, m, 2 * h, 2 * w, d))
+    tmp = buffers.scratch(m * doubled * voxels)
+    quarter = buffers.scratch(m * 4 * voxels)
+    three = buffers.scratch(m * 4 * voxels)
+    shift_h, shift_w, shift_d = (_axis_shifts(k, n) for k, n in zip(spec.kernel, fine))
+    out = buffers.output((b, c_out) + fine)
+    bias = spec.bias.data.reshape(-1, 1, 1, 1)
+    for n in range(b):
+        for c0 in range(0, c_out, m):
+            mm = min(m, c_out - c0)
+            ph, pw = part_h[:, :, :mm], part_w[:, :mm]
+            for j in range(kw):
+                for k in range(kd):
+                    _shifted_doubles([responses[n, i, j, k, c0 : c0 + mm] for i in range(kh)],
+                                     0, shift_h, ph[j, k], tmp, quarter, three)
+            for k in range(kd):
+                _shifted_doubles([ph[j, k] for j in range(kw)], 1, shift_w, pw[k], tmp, quarter, three)
+            target = out[n, c0 : c0 + mm]
+            _shifted_doubles(list(pw), 2, shift_d, target, tmp, quarter, three)
+            target += bias[c0 : c0 + mm]
+    return out
+
+
+def _unshifted(a: np.ndarray, axis: int, dst: slice, src: slice) -> np.ndarray:
+    """Adjoint of ``out[dst] += part[src]`` along ``axis`` of ``a``: a[dst] moved to src."""
+    if dst == src:
+        return a
+    lead = (slice(None),) * axis
+    out = np.zeros_like(a)
+    out[lead + (src,)] = a[lead + (dst,)]
+    return out
+
+
+def _coarse_first_grads(g: np.ndarray, x: Tensor, spec: ConvSpec):
+    """Adjoint of ``conv3d(x, spec, upsampled=True)``, its GEMMs on the coarse grid.
+
+    The transpose of ``_coarse_first_conv``'s nested sums: the output
+    gradient is moved back by each D shift and halved along D, each of
+    those by each W shift and halved along W, and so on through H, giving
+    g_t [c_out, batch * voxels] per tap on the coarse grid. Then
+    dW_t = g_t x.T and dx = sum_t W_t.T g_t, each one GEMM over the
+    stacked taps.
+    """
+    if spec.bias.requires_grad:
+        _accumulate(spec.bias, g.sum(axis=(0, 2, 3, 4)))
+    if not (spec.weights.requires_grad or x.requires_grad):
+        return
+    b, c_in, *extents = x.shape
+    shift_h, shift_w, shift_d = (_axis_shifts(k, n) for k, n in zip(spec.kernel, g.shape[2:]))
+    g_taps = np.empty(spec.kernel + (spec.c_out, b) + tuple(extents))
+    for k, (dk, sk) in enumerate(shift_d):
+        gk = _lerp_axis_adjoint(_unshifted(g, 4, dk, sk), 4)
+        for j, (dj, sj) in enumerate(shift_w):
+            gjk = _lerp_axis_adjoint(_unshifted(gk, 3, dj, sj), 3)
+            for i, (di, si) in enumerate(shift_h):
+                gijk = _lerp_axis_adjoint(_unshifted(gjk, 2, di, si), 2)
+                g_taps[i, j, k] = gijk.transpose(1, 0, 2, 3, 4)
+    taps = len(shift_h) * len(shift_w) * len(shift_d)
+    g_rows = g_taps.reshape(taps * spec.c_out, -1)
+    with np.errstate(all="ignore"):
+        if spec.weights.requires_grad:
+            x_cols = x.data.transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
+            dw = (g_rows @ x_cols.T).reshape(taps, spec.c_out, c_in)
+            _accumulate(spec.weights, dw.transpose(1, 2, 0).reshape(spec.weights.shape))
+        if x.requires_grad:
+            w_taps = _tap_matrices(spec.weights.data).reshape(-1, c_in)
+            dx = (w_taps.T @ g_rows).reshape((c_in, b) + tuple(extents))
+            _accumulate(x, dx.transpose(1, 0, 2, 3, 4))

@@ -36,7 +36,7 @@ def mse(a, b, mask=None) -> float:
         if not mask.any():
             raise ContractError("mse: empty mask")
         diff = diff[mask]
-    return float(np.mean(diff * diff))
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 @dataclass
@@ -110,10 +110,10 @@ def isodose_dice(a, b, level_percent: float, reference_dose: float) -> float:
     threshold = level_percent / 100.0 * reference_dose
     ma = av >= threshold
     mb = bv >= threshold
-    na, nb = int(ma.sum()), int(mb.sum())
+    na, nb = int(np.count_nonzero(ma)), int(np.count_nonzero(mb))
     if na + nb == 0:
         return 1.0
-    return 2.0 * int((ma & mb).sum()) / (na + nb)
+    return 2.0 * int(np.count_nonzero(np.logical_and(ma, mb, out=ma))) / (na + nb)
 
 
 @dataclass

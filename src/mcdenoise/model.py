@@ -11,6 +11,11 @@ for every layer output (outputs whose lifetimes do not overlap share
 memory) and one scratch region for the kernels' temporaries, and the
 tensor walk runs the same kernels in views of it. Parameter iteration,
 checkpoint records and parameter counts read the table's params column.
+Both forwards skip an upsample whose only consumer is a conv that
+``kernels.coarse_first`` selects at the upsample's input shape: the conv
+then runs coarse-first on that input, and the plan gives the skipped
+upsample no memory. The layer list, checkpoints and ``perf.count_flops``
+still describe the network as defined, upsample and all.
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -41,6 +46,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from .kernels import (
     ConvSpec,
+    coarse_first,
     conv3d,
     conv_output_extents,
     instance_norm,
@@ -103,6 +109,8 @@ class NetworkGraph:
     layers: list[Layer] = field(default_factory=list)
     # infer's buffer plan for the last input shape; it dies with the net
     plan: "_Plan | None" = field(default=None, init=False, repr=False, compare=False)
+    # upsample layer id -> its only consumer, when that is a conv (``_upsample_convs``)
+    upsample_convs: "dict | None" = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self):
         for layer_id, layer in enumerate(self.layers):
@@ -297,8 +305,44 @@ def _check_input(net: NetworkGraph, shape):
     check_divisible(net.name, net.cfg.num_down, shape[2:], ShapeError)
 
 
-def _apply_checked(layer_id, layer, rule, xs, buffers: Buffers) -> Tensor:
-    out = rule.apply(layer, xs, buffers)
+def _upsample_convs(net: NetworkGraph) -> dict:
+    """{upsample layer id: conv layer id} for each upsample whose only consumer is a conv.
+
+    Built once per net from its wiring and kept on it.
+    """
+    if net.upsample_convs is None:
+        consumers = {}
+        for layer_id, layer in enumerate(net.layers):
+            for i in layer.inputs:
+                consumers.setdefault(i, []).append(layer_id)
+        net.upsample_convs = {
+            layer_id: consumers[layer_id][0]
+            for layer_id, layer in enumerate(net.layers)
+            if layer.kind == "upsample" and len(consumers.get(layer_id, ())) == 1
+            and net.layers[consumers[layer_id][0]].kind == "conv"
+        }
+    return net.upsample_convs
+
+
+def _skipped_conv(net: NetworkGraph, layer_id: int, shape) -> int | None:
+    """The conv that runs coarse-first on the input of upsample ``layer_id``, if any.
+
+    ``shape`` is the upsample's input shape. The upsample is then skipped:
+    its conv is applied to the upsample's input (``kernels.coarse_first``).
+    """
+    conv = _upsample_convs(net).get(layer_id)
+    if conv is not None and coarse_first(net.layers[conv].spec, shape):
+        return conv
+    return None
+
+
+def _coarse_conv(layer, xs, buffers=FRESH) -> Tensor:
+    """A conv whose upsample was skipped, applied to the upsample's input."""
+    return conv3d(xs[0], layer.spec, buffers, upsampled=True)
+
+
+def _apply_checked(layer_id, layer, apply, xs, buffers: Buffers) -> Tensor:
+    out = apply(layer, xs, buffers)
     if not np.isfinite(out.data, out=buffers.scratch(out.shape, bool)).all():
         raise NumericError(f"non-finite values after layer {layer_id} ({layer.kind})")
     return out
@@ -309,13 +353,23 @@ def forward(net: NetworkGraph, x: Tensor, plan: "_Plan | None" = None) -> Tensor
 
     Without a plan every layer allocates its arrays and records the tape.
     With one (``infer`` makes it) every layer writes into the plan's views
-    and nothing is recorded; the kernels and checks are the same.
+    and nothing is recorded; the kernels and checks are the same. An
+    upsample whose only consumer is a conv that ``kernels.coarse_first``
+    selects at the upsample's input shape is skipped: it passes its input
+    on, and the conv runs coarse-first on it.
     """
     _check_input(net, x.shape)
+    coarse = set()  # convs whose upsample was skipped in this call
 
     def apply(layer_id, layer, rule, xs):
+        if layer.kind == "upsample":
+            conv = _skipped_conv(net, layer_id, xs[0].shape)
+            if conv is not None:
+                coarse.add(conv)
+                return xs[0]
         buffers = FRESH if plan is None else plan.layer(layer_id)
-        return _apply_checked(layer_id, layer, rule, xs, buffers)
+        return _apply_checked(layer_id, layer, _coarse_conv if layer_id in coarse else rule.apply,
+                              xs, buffers)
 
     out = walk(net, x, apply)[-1]
     if plan is not None:
@@ -421,18 +475,27 @@ class _Plan:
     def __init__(self, net: NetworkGraph, shape):
         self.shape = tuple(shape)
         shapes = walk(net, self.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+        skipped = {}  # skipped upsample -> its coarse-first conv
+        for layer_id, layer in enumerate(net.layers):
+            if layer.kind == "upsample":
+                src = layer.inputs[0]
+                conv = _skipped_conv(net, layer_id, self.shape if src == -1 else shapes[src])
+                if conv is not None:
+                    skipped[layer_id] = conv
         last_use = list(range(len(shapes)))
         for layer_id, layer in enumerate(net.layers):
             for i in layer.inputs:
                 if i >= 0:
-                    last_use[i] = max(last_use[i], layer_id)
+                    # a skipped upsample's input is read by its conv
+                    last_use[i] = max(last_use[i], skipped.get(layer_id, layer_id))
         kept = shapes[:-1]
-        sizes = [_nbytes(s) for s in kept]
+        sizes = [0 if i in skipped else _nbytes(s) for i, s in enumerate(kept)]
         offsets, nbytes = _pack(sizes, list(enumerate(last_use[:-1])))
         self.region = np.empty(nbytes, np.uint8)
         self.scratch = _Scratch()
         self.buffers = [
-            _PlannedBuffers(_view(self.region, o, s), self.scratch) for o, s in zip(offsets, kept)
+            _PlannedBuffers(None if i in skipped else _view(self.region, o, s), self.scratch)
+            for i, (o, s) in enumerate(zip(offsets, kept))
         ] + [_PlannedBuffers(None, self.scratch)]
 
     def layer(self, layer_id) -> _PlannedBuffers:

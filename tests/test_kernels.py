@@ -136,11 +136,10 @@ def test_conv_strided_matches_loop_oracle():
         ((1, 3, 1, 1, 2), 4, (1, 1, 3), (1, 1, 2), (1, 4, 1, 1, 1)),
         ((1, 3, 2, 2, 2), 4, (3, 3, 1), (2, 2, 1), (1, 4, 1, 1, 2)),
         ((1, 3, 1, 1, 2), 4, (3, 3, 1), (1, 1, 1), (1, 4, 1, 1, 2)),
-        # stride-1 convs with taps * c_out <= c_in: kn2row
+        # stride-1 channel reductions, also run coarse-first on an upsample below
         ((1, 18, 5, 6, 4), 2, (3, 3, 1), (1, 1, 1), (1, 2, 5, 6, 4)),
         ((2, 12, 4, 3, 6), 3, (1, 1, 3), (1, 1, 1), (2, 3, 4, 3, 6)),
         ((1, 27, 4, 5, 3), 1, (3, 3, 3), (1, 1, 1), (1, 1, 4, 5, 3)),
-        # a four-fold reduction with more responses than input channels: per tap
         ((1, 8, 5, 6, 4), 2, (3, 3, 1), (1, 1, 1), (1, 2, 5, 6, 4)),
     ]
     paths = set()
@@ -148,16 +147,22 @@ def test_conv_strided_matches_loop_oracle():
         x = rng.normal(size=shape)
         spec = _spec(rng, shape[1], c_out, kernel, stride)
         got = K.conv3d(Tensor(x), spec).data
-        want = conv3d_loops(x, spec.weights.data, spec.bias.data, stride, [(k - 1) // 2 for k in kernel])
+        padding = [(k - 1) // 2 for k in kernel]
+        want = conv3d_loops(x, spec.weights.data, spec.bias.data, stride, padding)
         assert got.shape == out_shape
         assert np.max(np.abs(got - want)) < 1e-10
         geo = K._PhaseGrid(shape[0], shape[2:], kernel, stride)
-        if K._reduces(spec, geo.cols):
-            paths.add("kn2row")
-            assert stride == (1, 1, 1)
-        else:
-            paths.add("stacked" if K._gathers(c_out, geo.cols) else "per tap")
-    assert paths == {"per tap", "stacked", "kn2row"}
+        paths.add("stacked" if K._gathers(c_out, geo.cols) else "per tap")
+        if stride == (1, 1, 1) and shape[1] >= 8:
+            # the conv of this input's 2x upsample, coarse-first on the input itself
+            coarse = x[:, :, : shape[2] // 2 + 1, : shape[3] // 2 + 1, : shape[4] // 2 + 1]
+            got = K.conv3d(Tensor(coarse), spec, upsampled=True).data
+            up = K.upsample_trilinear(Tensor(coarse)).data
+            want = conv3d_loops(up, spec.weights.data, spec.bias.data, stride, padding)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-10
+            paths.add("coarse-first")
+    assert paths == {"per tap", "stacked", "coarse-first"}
 
 
 S1 = (1, 1, 1)
@@ -166,16 +171,48 @@ S1 = (1, 1, 1)
 @pytest.mark.parametrize("c_in, c_out, kernel, stride, extents, takes", [
     (128, 8, (3, 3, 1), S1, (32, 32, 32), True),  # paper-width top pyramid conv
     (128, 1, (3, 3, 3), S1, (64, 64, 64), True),  # paper-width UNet head
-    (256, 64, (3, 3, 1), S1, (16, 16, 16), False),  # 9 * 64 responses per voxel > 256
-    (32, 8, (3, 3, 1), S1, (16, 16, 8), False),  # desk top pyramid conv
-    (16, 1, (3, 3, 3), S1, (64, 64, 32), False),  # desk UNet head
-    (256, 64, (3, 3, 3), S1, (32, 32, 32), False),  # UNet decoder conv
+    (256, 64, (3, 3, 1), S1, (16, 16, 16), True),  # paper-width level-2 pyramid conv: ratio 806
+    (32, 8, (3, 3, 1), S1, (16, 16, 8), False),  # desk top pyramid conv: ratio 101
+    (16, 1, (3, 3, 3), S1, (64, 64, 32), False),  # desk UNet head: ratio 69
+    (256, 64, (3, 3, 3), S1, (32, 32, 32), True),  # UNet decoder conv: ratio 526
     (128, 8, (3, 3, 1), (2, 2, 1), (32, 32, 32), False),  # input and output voxels differ
 ])
 def test_kn2row_only_where_the_responses_fit_in_the_input(
         c_in, c_out, kernel, stride, extents, takes):
+    # the coarse-first rule (kn2row below the upsample) for a conv at ``extents``
+    # whose input is the 2x upsample of a half-extent volume
     spec = _spec(np.random.default_rng(24), c_in, c_out, kernel, stride)
-    assert K._reduces(spec, K._PhaseGrid(1, extents, kernel, stride).cols) == takes
+    coarse = (1, c_in) + tuple(n // 2 for n in extents)
+    assert K.coarse_first(spec, coarse) == takes
+
+
+@pytest.mark.parametrize("shape, c_out, kernel", [
+    ((1, 6, 3, 4, 2), 2, (3, 3, 1)),
+    ((2, 5, 2, 3, 4), 3, (1, 1, 3)),
+    ((2, 4, 3, 2, 3), 2, (3, 3, 3)),
+    ((1, 7, 2, 3, 2), 1, (3, 3, 3)),
+    ((1, 3, 1, 2, 1), 1, (3, 3, 1)),  # extent-one axes
+    ((1, 4, 2, 3, 2), 2, (3, 1, 3)),  # a unit kernel axis between two wide ones
+    ((1, 4, 2, 3, 2), 2, (1, 1, 1)),
+])
+def test_coarse_first_matches_upsample_then_conv(shape, c_out, kernel):
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=shape)
+    spec = _spec(rng, shape[1], c_out, kernel, S1)
+    got = K.conv3d(Tensor(x), spec, upsampled=True).data
+    up = K.upsample_trilinear(Tensor(x))
+    want = K.conv3d(up, spec).data
+    assert got.shape == (shape[0], c_out) + tuple(2 * n for n in shape[2:])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    oracle = conv3d_loops(up.data, spec.weights.data, spec.bias.data, S1,
+                          [(k - 1) // 2 for k in kernel])
+    assert np.max(np.abs(got - oracle)) < 1e-10
+
+
+def test_coarse_first_needs_stride_one():
+    spec = _spec(np.random.default_rng(26), 2, 2, (3, 3, 1), (2, 2, 1))
+    with pytest.raises(ContractError):
+        K.conv3d(Tensor(np.zeros((1, 2, 2, 2, 2))), spec, upsampled=True)
 
 
 def test_conv_channel_mismatch():
@@ -374,11 +411,18 @@ def test_gradcheck_conv_strided():
 
 
 def test_gradcheck_conv_kn2row():
+    # coarse-first, kn2row below the upsample: gradients in the coarse input, weights and bias
     rng = np.random.default_rng(23)
     x = _rand(rng, (1, 9, 3, 4, 3), requires_grad=True)
     spec = _spec(rng, 9, 1, (3, 3, 1), (1, 1, 1))
-    assert K._reduces(spec, K._PhaseGrid(1, x.shape[2:], spec.kernel, spec.stride).cols)
-    check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
+    assert K.coarse_first(spec, x.shape)
+    check_gradients(lambda: K.conv3d(x, spec, upsampled=True).square().mean(),
+                    [x, spec.weights, spec.bias])
+    for shape, c_out, kernel in [((2, 2, 2, 2, 2), 2, (3, 3, 3)), ((1, 3, 2, 1, 3), 2, (1, 1, 3))]:
+        x = _rand(rng, shape, requires_grad=True)
+        spec = _spec(rng, shape[1], c_out, kernel, (1, 1, 1))
+        check_gradients(lambda: K.conv3d(x, spec, upsampled=True).square().mean(),
+                        [x, spec.weights, spec.bias])
 
 
 def test_gradcheck_axial_and_slice():

@@ -128,56 +128,99 @@ def test_infer_is_forward_bit_for_bit(build, extents):
     assert np.array_equal(M.infer(net, x), want)  # warm: every buffer planned
 
 
-def test_infer_is_forward_bit_for_bit_through_kn2row():
-    # base 40, two modules: the top pyramid conv maps 80 channels to 8 at 8x8x4
+def _coarse_first_convs(net, shape):
+    """(upsample id, conv id, upsample input shape) of every conv ``forward`` runs coarse-first."""
+    shapes = M.walk(net, shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+    found = []
+    for up, conv in M._upsample_convs(net).items():
+        src = net.layers[up].inputs[0]
+        coarse = shape if src == -1 else shapes[src]
+        if K.coarse_first(net.layers[conv].spec, coarse):
+            found.append((up, conv, coarse))
+    return found
+
+
+def test_infer_is_forward_bit_for_bit_through_kn2row(monkeypatch):
+    # base 40, two modules: both pyramid levels run coarse-first (kn2row below the
+    # upsample), the top one mapping 80 channels to 8 at 8x8x4
     net = M.build_proposed(M.ScaledConfig(40, 2, (16, 16, 8)), seed=7)
     x = np.random.default_rng(13).normal(size=(1, 1, 16, 16, 8))
-    shapes = M.walk(net, x.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
-    top = max(i for i, layer in enumerate(net.layers)
-              if layer.stage == "pyramid" and layer.kind == "conv" and layer.spec.kernel == (3, 3, 1))
-    spec = net.layers[top].spec
-    geo = K._PhaseGrid(1, shapes[net.layers[top].inputs[0]][2:], spec.kernel, spec.stride)
-    assert (spec.c_in, spec.c_out) == (80, 8) and K._reduces(spec, geo.cols)
+    coarse = _coarse_first_convs(net, x.shape)
+    assert [(net.layers[c].spec.c_in, net.layers[c].spec.c_out, s[2:]) for _, c, s in coarse] == [
+        (80, 40, (2, 2, 1)), (80, 8, (4, 4, 2))]
+    calls = Counter()
+    real = M.upsample_trilinear
+    monkeypatch.setattr(M, "upsample_trilinear", lambda *a: calls.update(["up"]) or real(*a))
     want = M.forward(net, Tensor(x)).data
+    assert calls["up"] == 0  # both upsamples were skipped
     assert np.array_equal(M.infer(net, x), want)
     scratch = net.plan.scratch.region
     arena = (scratch.ctypes.data, scratch.nbytes)
     assert np.array_equal(M.infer(net, x), want)
     assert (net.plan.scratch.region.ctypes.data, net.plan.scratch.region.nbytes) == arena
+    monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
+    direct = M.forward(net, Tensor(x)).data
+    assert calls["up"] == 2
+    assert np.max(np.abs(want - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("name, cfg", [
     (M.UNET_BASELINE, M.ScaledConfig(16, 2, (16, 16, 8))),  # head: 32 -> 1 by 3x3x3
-    (M.PROPOSED, M.ScaledConfig(40, 2, (16, 16, 8))),  # top pyramid conv: 80 -> 8 by 3x3x1
+    (M.PROPOSED, M.ScaledConfig(40, 2, (16, 16, 8))),  # both pyramid convs, 80 -> 40 and 80 -> 8
 ])
 def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
+    # coarse-first never needs more infer scratch than the upsample and conv it replaces
     x = np.random.default_rng(15).normal(size=(1, 1) + cfg.input_extents)
     net = M.build_network(name, cfg, seed=9)
-    shapes = M.walk(net, x.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
-    kn2row = []
-    for layer in net.layers:
-        if layer.kind == "conv":
-            src = x.shape if layer.inputs[0] == -1 else shapes[layer.inputs[0]]
-            spec = layer.spec
-            if K._reduces(spec, K._PhaseGrid(1, src[2:], spec.kernel, spec.stride).cols):
-                kn2row.append((spec, np.random.default_rng(16).normal(size=src)))
-    assert len(kn2row) == 1
+    coarse = _coarse_first_convs(net, x.shape)
+    assert len(coarse) == {M.UNET_BASELINE: 1, M.PROPOSED: 2}[name]
 
-    def scratch_need(spec, a):
+    def scratch_need(run):
         scratch = M._Scratch()
-        K.conv3d(Tensor(a), spec, M._PlannedBuffers(None, scratch))
+        run(M._PlannedBuffers(None, scratch))
         return scratch.need
 
+    for _, conv, shape in coarse:
+        spec = net.layers[conv].spec
+        p = Tensor(np.random.default_rng(16).normal(size=shape))
+        up = K.upsample_trilinear(p)
+        direct = max(scratch_need(lambda b: K.upsample_trilinear(p, b)),
+                     scratch_need(lambda b: K.conv3d(up, spec, b)))
+        assert scratch_need(lambda b: K.conv3d(p, spec, b, upsampled=True)) <= direct
+
     got = M.infer(net, x)
-    arena = net.plan.scratch.region.nbytes
-    need = scratch_need(*kn2row[0])
-    monkeypatch.setattr(K, "_reduces", lambda spec, cols: False)
-    assert need < scratch_need(*kn2row[0])  # the responses are smaller than the phase split
+    arena = (net.plan.region.nbytes, net.plan.scratch.region.nbytes)
+    monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
     net.plan = None
     want = M.infer(net, x)
-    assert arena <= net.plan.scratch.region.nbytes
-    # a c_out = 1 conv's per-tap GEMMs run as GEMVs in OpenBLAS, rounded apart by an ulp or two
+    assert arena[0] < net.plan.region.nbytes  # the skipped upsamples' outputs take no arena
+    assert arena[1] <= net.plan.scratch.region.nbytes
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# (c_in, c_out, coarse extents) of every conv the rule runs coarse-first, per net
+_COARSE_FIRST_PINS = [
+    (M.PROPOSED, M.ScaledConfig(8, 3, (32, 32, 16)), []),  # desk training crop
+    (M.PROPOSED, M.ScaledConfig(8, 3, (64, 64, 32)), []),  # desk held-out volume
+    (M.UNET_BASELINE, M.ScaledConfig(8, 3, (32, 32, 16)), []),
+    (M.UNET_BASELINE, M.ScaledConfig(8, 3, (64, 64, 32)), []),
+    (M.PROPOSED, M.ScaledConfig(64, 5, (64, 64, 64)),  # paper width
+     [(512, 128, (4, 4, 4)), (256, 64, (8, 8, 8)), (128, 8, (16, 16, 16))]),
+    (M.UNET_BASELINE, M.ScaledConfig(16, 4, (64, 64, 64)),
+     [(128, 64, (4, 4, 4)), (128, 32, (8, 8, 8)), (32, 1, (32, 32, 32))]),
+    (M.UNET_BASELINE, M.ScaledConfig(64, 6, (64, 64, 64)),
+     [(1024, 256, (4, 4, 4)), (512, 128, (8, 8, 8)), (256, 64, (16, 16, 16)),
+      (128, 1, (32, 32, 32))]),
+]
+
+
+@pytest.mark.parametrize("name, cfg, pinned", _COARSE_FIRST_PINS)
+def test_coarse_first_rule_pins(name, cfg, pinned):
+    net = M.build_network(name, cfg, seed=0)
+    coarse = _coarse_first_convs(net, (1, 1) + cfg.input_extents)
+    assert [(net.layers[c].spec.c_in, net.layers[c].spec.c_out, s[2:]) for _, c, s in coarse] == pinned
+    # a skipped upsample feeds only its conv, the next layer
+    assert all(conv == up + 1 for up, conv, _ in coarse)
 
 
 def test_infer_replans_on_a_new_shape():
