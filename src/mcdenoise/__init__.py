@@ -23,7 +23,6 @@ from .tensor import (
     concat,
     crop,
     from_values,
-    full,
     pad_zeros,
     randn,
     zeros,

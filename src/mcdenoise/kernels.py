@@ -35,10 +35,10 @@ upsample followed by a conv on the fine grid. The per-tap and stacked
 backward passes rebuild the phase split and run the adjoint GEMMs on its
 slices; the coarse-first backward runs its GEMMs on the coarse grid.
 
-The trilinear upsample doubles H, W, then D with a two-tap stencil, one
-batch item and one block of channels at a time: the intermediate passes
-and their terms stay in block-sized scratch, and only the last pass
-writes to the output.
+The trilinear upsample doubles H, W, then D with a two-tap stencil; its
+forward is the one-tap case of the coarse-first conv's tap sum
+(``_upsampled_sum``), which works one batch item and one block of channels
+at a time in block-sized scratch, only the last pass writing the output.
 
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
@@ -47,6 +47,7 @@ shuffle is its exact inverse; both are pure permutations.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -492,10 +493,10 @@ def instance_norm(
 
 # -- trilinear upsampling -------------------------------------------------------
 
-# Bytes of block-local scratch per upsample block, at 14 doubles per input
-# voxel and channel: the H-doubled and HW-doubled copies (2 and 4 volumes)
-# and the 0.25x and 0.75x terms of the largest pass (4 each); a coarse-first
-# conv's blocks of partial sums use the same budget. Half of one
+# Bytes of block-local scratch per block of channels in ``_upsampled_sum``,
+# which runs both the upsample (one tap: 14 doubles per channel and coarse
+# voxel, the H-doubled and HW-doubled copies and the 0.25x and 0.75x terms
+# of the largest pass) and a coarse-first conv's tap sum. Half of one
 # core's 2 MiB L2 on the machine it was measured on, which left room for the
 # output stream; the sweep that chose it is in BENCH_8.json.
 _UPSAMPLE_BLOCK_BYTES = 2**20
@@ -561,6 +562,95 @@ def _lerp_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+@functools.lru_cache(maxsize=128)
+def _axis_shifts(k: int, n: int) -> tuple:
+    """Per kernel index i along an axis of extent n, the (dst, src) slices of a "same" conv.
+
+    Output index o takes index i's response at o + i - p (p the padding);
+    where that index is padding, index i adds nothing. So
+    ``out[dst] += response[src]`` adds it over the range where its source
+    exists. Built once per (k, n), as every upsample asks for them.
+    """
+    shifts = [(k - 1) // 2 - i for i in range(k)]  # output index = input index + shift
+    return tuple((slice(max(0, s), n + min(0, s)), slice(max(0, -s), n + min(0, -s))) for s in shifts)
+
+
+def _axis_view(a: np.ndarray, axis: int) -> np.ndarray:
+    """[R, n, S] view of a contiguous [C, H, W, D] block, n its spatial ``axis`` (0, 1, 2)."""
+    return a.reshape(math.prod(a.shape[: 1 + axis]), a.shape[1 + axis], -1)
+
+
+def _shifted_doubles(parts, axis: int, shifts, target, tmp, quarter, three):
+    """target = sum over i of shift_i(double(parts[i])) along spatial ``axis``.
+
+    ``double`` is one ``_double_axis`` pass and ``shifts`` the kernel axis'
+    (dst, src) slices; the centre index, whose shift is zero, is doubled
+    straight into ``target`` and the others are doubled into the flat
+    scratch ``tmp`` and added at their shifts.
+    """
+    centre = len(parts) // 2
+    _double_axis(_axis_view(parts[centre], axis), _axis_view(target, axis), quarter, three)
+    if len(parts) == 1:
+        return
+    lead = (slice(None),) * (1 + axis)
+    tmp = tmp[: target.size].reshape(target.shape)
+    for i, (dst, src) in enumerate(shifts):
+        if i != centre:
+            _double_axis(_axis_view(parts[i], axis), _axis_view(tmp, axis), quarter, three)
+            block = target[lead + (dst,)]
+            np.add(block, tmp[lead + (src,)], out=block)
+
+
+def _upsampled_sum(responses: np.ndarray, buffers: Buffers, bias=None) -> np.ndarray:
+    """Sum over taps of shift_t(up(responses[:, t])), plus ``bias``: [B, C, 2h, 2w, 2d].
+
+    ``responses`` is [B, kh, kw, kd, C, h, w, d], each tap's C channels on
+    the coarse grid; ``up`` is the trilinear upsample and shift_t the tap's
+    "same"-padded shift (``_axis_shifts``). The upsample doubles H, W, then
+    D, and a shift along one axis commutes with the passes along the
+    others, so the taps are summed one axis at a time: for each (j, k),
+    A_jk = sum_i shift_i(up_H(R_ijk)); for each k, B_k = sum_j
+    shift_j(up_W(A_jk)); out = sum_k shift_k(up_D(B_k)). For a (3, 3, 1)
+    kernel that is 9 H passes, 3 W passes and 1 D pass, where upsampling
+    each tap's responses would run 9 of each; one tap is the plain
+    upsample. It runs one batch item and one block of channels at a time,
+    so a block's partial sums and pass terms stay in cache
+    (``_UPSAMPLE_BLOCK_BYTES``) and only the last D pass writes the output.
+    """
+    b, kh, kw, kd, c, h, w, d = responses.shape
+    kernel = (kh, kw, kd)
+    voxels = h * w * d
+    fine = (2 * h, 2 * w, 2 * d)
+    # doubles per channel and coarse voxel: the partial sums A and B, the
+    # largest doubled off-centre tap (2, 4 or 8 after the H, W or D pass),
+    # and the 0.25x/0.75x terms of the largest pass; 14 at one tap
+    doubled = max([0] + [2 << axis for axis, k in enumerate(kernel) if k > 1])
+    per_channel = 2 * kw * kd + 4 * kd + doubled + 8
+    m = min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * 8 * voxels)))
+    part_h = buffers.scratch((kw, kd, m, 2 * h, w, d))
+    part_w = buffers.scratch((kd, m, 2 * h, 2 * w, d))
+    tmp = buffers.scratch(m * doubled * voxels) if doubled else None
+    quarter = buffers.scratch(m * 4 * voxels)
+    three = buffers.scratch(m * 4 * voxels)
+    shift_h, shift_w, shift_d = (_axis_shifts(k, n) for k, n in zip(kernel, fine))
+    out = buffers.output((b, c) + fine)
+    for n in range(b):
+        for c0 in range(0, c, m):
+            mm = min(m, c - c0)
+            ph, pw = part_h[:, :, :mm], part_w[:, :mm]
+            for j in range(kw):
+                for k in range(kd):
+                    _shifted_doubles([responses[n, i, j, k, c0 : c0 + mm] for i in range(kh)],
+                                     0, shift_h, ph[j, k], tmp, quarter, three)
+            for k in range(kd):
+                _shifted_doubles([ph[j, k] for j in range(kw)], 1, shift_w, pw[k], tmp, quarter, three)
+            target = out[n, c0 : c0 + mm]
+            _shifted_doubles(list(pw), 2, shift_d, target, tmp, quarter, three)
+            if bias is not None:
+                target += bias[c0 : c0 + mm].reshape(-1, 1, 1, 1)
+    return out
+
+
 def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """Double every spatial extent by trilinear interpolation.
 
@@ -568,33 +658,15 @@ def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
     replication, applied separably along H, W, then D. Along one axis this
     is a fixed two-tap stencil written into the even and odd outputs:
     out[2i] = 0.25 x[i-1] + 0.75 x[i] and out[2i+1] = 0.75 x[i] + 0.25 x[i+1],
-    with x[-1] = x[0] and x[n] = x[n-1] (``_double_axis``). The forward
-    runs one batch item and one block of channels at a time: the H and W
-    passes and every 0.25x/0.75x term live in block-sized scratch that
-    stays in cache (``_UPSAMPLE_BLOCK_BYTES``), and only the D pass writes
-    to the output. The backward pass applies the transposed stencil
-    (``_lerp_axis_adjoint``) along D, W, then H; neither pass gathers or
-    scatters by index.
+    with x[-1] = x[0] and x[n] = x[n-1] (``_double_axis``). The forward is
+    the one-tap case of a coarse-first conv's tap sum (``_upsampled_sum``
+    on ``x`` as a single tap's responses, without bias). The backward pass
+    applies the transposed stencil (``_lerp_axis_adjoint``) along D, W,
+    then H; neither pass gathers or scatters by index.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"upsample_trilinear needs a 5-D tensor, got {x.shape}")
-    b, c, h, w, d = x.shape
-    voxels = h * w * d
-    block = min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (14 * 8 * voxels)))
-    h_doubled = buffers.scratch((block, 2 * h, w, d))
-    hw_doubled = buffers.scratch((block, 2 * h, 2 * w, d))
-    quarter = buffers.scratch(block * 4 * voxels)
-    three = buffers.scratch(block * 4 * voxels)
-    out = buffers.output((b, c, 2 * h, 2 * w, 2 * d))
-    for i in range(b):
-        for c0 in range(0, c, block):
-            m = min(block, c - c0)
-            src, dst = x.data[i, c0 : c0 + m], out[i, c0 : c0 + m]
-            hd, hwd = h_doubled[:m], hw_doubled[:m]
-            # each pass doubles the middle axis of an [R, n, S] view: H, W, then D
-            _double_axis(src.reshape(m, h, -1), hd.reshape(m, 2 * h, -1), quarter, three)
-            _double_axis(hd.reshape(-1, w, d), hwd.reshape(-1, 2 * w, d), quarter, three)
-            _double_axis(hwd.reshape(-1, d, 1), dst.reshape(-1, 2 * d, 1), quarter, three)
+    out = _upsampled_sum(x.data[:, None, None, None], buffers)
 
     def _bw(g):
         if x.requires_grad:
@@ -609,43 +681,6 @@ def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
 # -- coarse-first convolution of an upsample -------------------------------------
 
 
-def _axis_shifts(k: int, n: int) -> list:
-    """Per kernel index i along an axis of extent n, the (dst, src) slices of a "same" conv.
-
-    Output index o takes index i's response at o + i - p (p the padding);
-    where that index is padding, index i adds nothing. So
-    ``out[dst] += response[src]`` adds it over the range where its source
-    exists.
-    """
-    shifts = [(k - 1) // 2 - i for i in range(k)]  # output index = input index + shift
-    return [(slice(max(0, s), n + min(0, s)), slice(max(0, -s), n + min(0, -s))) for s in shifts]
-
-
-def _axis_view(a: np.ndarray, axis: int) -> np.ndarray:
-    """[R, n, S] view of a contiguous [C, H, W, D] block, n its spatial ``axis`` (0, 1, 2)."""
-    return a.reshape(int(np.prod(a.shape[: 1 + axis])), a.shape[1 + axis], -1)
-
-
-def _shifted_doubles(parts, axis: int, shifts, target, tmp, quarter, three):
-    """target = sum over i of shift_i(double(parts[i])) along spatial ``axis``.
-
-    ``double`` is one ``_double_axis`` pass and ``shifts`` the kernel axis'
-    (dst, src) slices; the centre index, whose shift is zero, is doubled
-    straight into ``target`` and the others are doubled into the flat
-    scratch ``tmp`` and added at their shifts.
-    """
-    lead = (slice(None),) * (1 + axis)
-    centre = len(parts) // 2
-    _double_axis(_axis_view(parts[centre], axis), _axis_view(target, axis), quarter, three)
-    if len(parts) > 1:
-        tmp = tmp[: target.size].reshape(target.shape)
-    for i, (dst, src) in enumerate(shifts):
-        if i != centre:
-            _double_axis(_axis_view(parts[i], axis), _axis_view(tmp, axis), quarter, three)
-            block = target[lead + (dst,)]
-            np.add(block, tmp[lead + (src,)], out=block)
-
-
 def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.ndarray:
     """The stride-1 conv of ``upsample_trilinear(p)`` with its bias: [B, c_out, 2h, 2w, 2d].
 
@@ -654,54 +689,16 @@ def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.nd
     tap-major weights [taps * c_out, c_in] with the coarse input
     [c_in, voxels] gives every tap's c_out responses on the coarse grid
     (kn2row: Anderson et al., "Low-memory GEMM-based convolution
-    algorithms for deep neural networks", 2017, here below the upsample).
-    The upsample doubles H, W, then D, and a shift along one axis commutes
-    with the passes along the others, so the taps are summed one axis at
-    a time: for each (j, k), A_jk = sum_i shift_i(up_H(R_ijk)); for each k,
-    B_k = sum_j shift_j(up_W(A_jk)); out = sum_k shift_k(up_D(B_k)). For a
-    (3, 3, 1) kernel that is 9 H passes, 3 W passes and 1 D pass, where
-    upsampling each tap's responses would run 9 of each. It runs one
-    batch item and one block of output channels at a time, so a block's
-    partial sums stay in cache (``_UPSAMPLE_BLOCK_BYTES``).
+    algorithms for deep neural networks", 2017, here below the upsample),
+    and ``_upsampled_sum`` upsamples them and adds them at their shifts.
     """
     b, c_in, h, w, d = p.shape
-    kh, kw, kd = spec.kernel
-    c_out = spec.c_out
-    voxels = h * w * d
-    fine = (2 * h, 2 * w, 2 * d)
     w_taps = _tap_matrices(spec.weights.data, buffers)
-    responses = buffers.scratch((b, kh, kw, kd, c_out, h, w, d))
+    responses = buffers.scratch((b,) + spec.kernel + (spec.c_out, h, w, d))
     with np.errstate(all="ignore"):
-        np.matmul(w_taps.reshape(-1, c_in), p.reshape(b, c_in, voxels),
-                  out=responses.reshape(b, -1, voxels))
-    # doubles per channel and coarse voxel: the partial sums A and B, the
-    # largest doubled off-centre tap (2, 4 or 8 after the H, W or D pass),
-    # and the 0.25x/0.75x terms of the largest pass
-    doubled = max([0] + [2 << axis for axis, k in enumerate(spec.kernel) if k > 1])
-    per_channel = 2 * kw * kd + 4 * kd + doubled + 8
-    m = min(c_out, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * 8 * voxels)))
-    part_h = buffers.scratch((kw, kd, m, 2 * h, w, d))
-    part_w = buffers.scratch((kd, m, 2 * h, 2 * w, d))
-    tmp = buffers.scratch(m * doubled * voxels)
-    quarter = buffers.scratch(m * 4 * voxels)
-    three = buffers.scratch(m * 4 * voxels)
-    shift_h, shift_w, shift_d = (_axis_shifts(k, n) for k, n in zip(spec.kernel, fine))
-    out = buffers.output((b, c_out) + fine)
-    bias = spec.bias.data.reshape(-1, 1, 1, 1)
-    for n in range(b):
-        for c0 in range(0, c_out, m):
-            mm = min(m, c_out - c0)
-            ph, pw = part_h[:, :, :mm], part_w[:, :mm]
-            for j in range(kw):
-                for k in range(kd):
-                    _shifted_doubles([responses[n, i, j, k, c0 : c0 + mm] for i in range(kh)],
-                                     0, shift_h, ph[j, k], tmp, quarter, three)
-            for k in range(kd):
-                _shifted_doubles([ph[j, k] for j in range(kw)], 1, shift_w, pw[k], tmp, quarter, three)
-            target = out[n, c0 : c0 + mm]
-            _shifted_doubles(list(pw), 2, shift_d, target, tmp, quarter, three)
-            target += bias[c0 : c0 + mm]
-    return out
+        np.matmul(w_taps.reshape(-1, c_in), p.reshape(b, c_in, -1),
+                  out=responses.reshape(b, -1, h * w * d))
+    return _upsampled_sum(responses, buffers, spec.bias.data)
 
 
 def _unshifted(a: np.ndarray, axis: int, dst: slice, src: slice) -> np.ndarray:

@@ -80,9 +80,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -133,10 +130,6 @@ def _checked_shape(shape) -> tuple:
 
 def zeros(shape, requires_grad=False) -> Tensor:
     return Tensor(np.zeros(_checked_shape(shape)), requires_grad=requires_grad)
-
-
-def full(shape, value, requires_grad=False) -> Tensor:
-    return Tensor(np.full(_checked_shape(shape), float(value)), requires_grad=requires_grad)
 
 
 def from_values(shape, values, requires_grad=False) -> Tensor:
@@ -336,7 +329,7 @@ def mean(a: Tensor) -> Tensor:
     return _result(np.array(a.data.mean()).reshape((1,)), (a,), _bw)
 
 
-def concat(tensors, axis: int = 1, buffers: Buffers = FRESH) -> Tensor:
+def concat(tensors, buffers: Buffers = FRESH) -> Tensor:
     """Concatenate along the channel axis; all other extents must match."""
     tensors = list(tensors)
     if len(tensors) < 2:
@@ -345,21 +338,18 @@ def concat(tensors, axis: int = 1, buffers: Buffers = FRESH) -> Tensor:
     for t in tensors[1:]:
         if len(t.shape) != len(base):
             raise ContractError("concat: rank mismatch")
-        for d in range(len(base)):
-            if d != axis and t.shape[d] != base[d]:
-                raise ContractError(
-                    f"concat: non-channel extent mismatch {t.shape} vs {base}"
-                )
-    widths = [t.shape[axis] for t in tensors]
+        if t.shape[:1] + t.shape[2:] != base[:1] + base[2:]:
+            raise ContractError(f"concat: non-channel extent mismatch {t.shape} vs {base}")
+    widths = [t.shape[1] for t in tensors]
     splits = np.cumsum(widths)[:-1]
-    out = buffers.output(base[:axis] + (sum(widths),) + base[axis + 1 :])
+    out = buffers.output(base[:1] + (sum(widths),) + base[2:])
 
     def _bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+        for t, piece in zip(tensors, np.split(g, splits, axis=1)):
             if t.requires_grad:
                 _accumulate(t, piece)
 
-    np.concatenate([t.data for t in tensors], axis=axis, out=out)
+    np.concatenate([t.data for t in tensors], axis=1, out=out)
     return buffers.result(out, tuple(tensors), _bw)
 
 

@@ -186,6 +186,12 @@ def test_kn2row_only_where_the_responses_fit_in_the_input(
     assert K.coarse_first(spec, coarse) == takes
 
 
+# (channels per block, doubles per channel and coarse voxel) where the test
+# shrinks the scratch budget: blocks of 2, 2 and 1, and of 3 and 1, channels
+# per batch item
+COARSE_FIRST_BLOCKS = {(2, 3, 2, 3, 2): (2, 22), (2, 3, 2, 2, 3): (3, 46)}
+
+
 @pytest.mark.parametrize("shape, c_out, kernel", [
     ((1, 6, 3, 4, 2), 2, (3, 3, 1)),
     ((2, 5, 2, 3, 4), 3, (1, 1, 3)),
@@ -194,12 +200,32 @@ def test_kn2row_only_where_the_responses_fit_in_the_input(
     ((1, 3, 1, 2, 1), 1, (3, 3, 1)),  # extent-one axes
     ((1, 4, 2, 3, 2), 2, (3, 1, 3)),  # a unit kernel axis between two wide ones
     ((1, 4, 2, 3, 2), 2, (1, 1, 1)),
+    ((2, 3, 2, 3, 2), 5, (3, 3, 1)),  # several channel blocks, the last one partial
+    ((2, 3, 2, 2, 3), 4, (3, 3, 3)),  # several channel blocks, the last one partial
 ])
-def test_coarse_first_matches_upsample_then_conv(shape, c_out, kernel):
+def test_coarse_first_matches_upsample_then_conv(shape, c_out, kernel, monkeypatch):
     rng = np.random.default_rng(25)
     x = rng.normal(size=shape)
     spec = _spec(rng, shape[1], c_out, kernel, S1)
+    blocks = COARSE_FIRST_BLOCKS.get(shape)
+    widths = []  # channels of each block's last (D) pass
+    if blocks is not None:
+        block, doubles = blocks
+        voxels = shape[2] * shape[3] * shape[4]
+        monkeypatch.setattr(K, "_UPSAMPLE_BLOCK_BYTES", block * doubles * 8 * voxels)
+        shifted_doubles = K._shifted_doubles
+
+        def spy(parts, axis, *rest):
+            if axis == 2:
+                widths.append(len(parts[0]))
+            return shifted_doubles(parts, axis, *rest)
+
+        monkeypatch.setattr(K, "_shifted_doubles", spy)
     got = K.conv3d(Tensor(x), spec, upsampled=True).data
+    if blocks is not None:
+        tail = c_out % block
+        assert c_out > block and tail
+        assert widths == shape[0] * ([block] * (c_out // block) + [tail])
     up = K.upsample_trilinear(Tensor(x))
     want = K.conv3d(up, spec).data
     assert got.shape == (shape[0], c_out) + tuple(2 * n for n in shape[2:])

@@ -270,5 +270,6 @@ def test_pgm_export(tmp_path):
     paths = volio.export_middle_slices(values, tmp_path, "test", (0.0, 80.0))
     assert len(paths) == 3
     for p in paths:
-        blob = open(p, "rb").read()
+        with open(p, "rb") as fh:
+            blob = fh.read()
         assert blob.startswith(b"P5\n")
