@@ -9,6 +9,7 @@ resolved configuration into a run manifest under --out. Exit codes: 0 ok,
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -381,6 +382,28 @@ def cmd_bench(args) -> int:
 # -- parser -------------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """A count flag; argparse reports a bad one as a usage error (exit 2) naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_dose(text: str) -> float:
+    """A dose flag that volumes are divided by: positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite dose, got {text}")
+    return value
+
+
 _FORMATS_EPILOG = (
     "file formats: DVOL dose volumes and DMSK masks are little-endian binaries "
     "(magic, u32 version, u32 HxWxD extents, f32 voxel sizes in mm, u64 histories, "
@@ -404,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic dose dataset (DVOL/DMSK files)",
         epilog=_FORMATS_EPILOG,
     )
-    p.add_argument("--cases", type=int, default=8, help="number of randomized cases")
+    p.add_argument("--cases", type=_positive_int, default=8, help="number of randomized cases")
     p.add_argument("--pairs", type=int, default=2, help="noisy realizations per case; even and >= 2, since training pairs them")
-    p.add_argument("--histories", type=int, default=2, help="simulated history count (low counts mean strong noise)")
+    p.add_argument("--histories", type=_positive_int, default=2, help="simulated history count (low counts mean strong noise)")
     p.add_argument("--extents", default="32x32x16", help="grid extents HxWxD")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
@@ -425,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crop", help="training crop extents HxWxD")
     p.add_argument("--pad", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--normalization-dose", type=float, dest="normalization_dose")
+    p.add_argument("--normalization-dose", type=_positive_dose, dest="normalization_dose")
     p.add_argument("--no-swap", action="store_true", help="disable input/target swapping")
     p.set_defaults(func=cmd_train)
 
@@ -433,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="noisy DVOL file")
-    p.add_argument("--normalization-dose", type=float, default=80.0, dest="normalization_dose")
+    p.add_argument("--normalization-dose", type=_positive_dose, default=80.0, dest="normalization_dose")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_denoise)
 
@@ -441,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset directory holding held-out cases")
-    p.add_argument("--realizations", type=int, default=15)
-    p.add_argument("--histories", type=int, default=2)
+    p.add_argument("--realizations", type=_positive_int, default=15)
+    p.add_argument("--histories", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalization-dose", type=float, default=80.0, dest="normalization_dose")
+    p.add_argument("--normalization-dose", type=_positive_dose, default=80.0, dest="normalization_dose")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -6,34 +6,33 @@ fresh arrays, with the backward rule recorded on the tape, while
 ``model.infer`` passes planned views and records nothing. So each
 kernel's forward arithmetic is written once.
 
-Convolutions use cross-correlation semantics (no kernel flip) with
-weights stored output-major as [c_out, c_in, k_h, k_w, k_d]. A conv pads
-(k - 1) // 2 zeros per dimension, so stride-1 convs preserve extents and
-stride-2 convs halve them. Every conv runs through ``conv3d``, whose
-forward takes one of three paths, chosen from the shape:
+Convolutions use cross-correlation semantics (no kernel flip). A conv's
+weights have the logical shape [c_out, c_in, k_h, k_w, k_d], which
+``ConvSpec`` checks and checkpoints store in C order, but
+``make_conv_spec`` lays them out in memory as [c_out, k_h, k_w, k_d,
+c_in], so every tap's [c_out, c_in] matrix is a view the GEMMs read in
+place (``_tap_view``). A conv pads (k - 1) // 2 zeros per dimension, so
+stride-1 convs preserve extents and stride-2 convs halve them. Every conv
+runs through ``conv3d``, whose forward takes one of two paths:
 
-- per tap (the rest): the padded input is split by stride phase once,
-  each kernel tap reads a contiguous column slice of one phase in place,
-  and the taps' GEMMs are summed on the phase grid;
-- stacked (``_gathers``: the phase grid has no more columns than the conv
-  has output channels, the deep wide levels): the tap slices are stacked
-  and run as one GEMM with the weights in place;
+- per tap: the padded input is split by stride phase once, each kernel
+  tap reads a contiguous column slice of one phase in place, and the
+  taps' GEMMs are summed on the phase grid;
 - coarse-first (``conv3d(..., upsampled=True)``, for a stride-1 conv whose
-  input is a 2x trilinear upsample): one GEMM of every tap's weights on
-  the upsample's coarse input, then the taps' responses upsampled and
-  added at their shifts, the upsample's input never upsampled itself.
-  ``model.forward`` takes it where ``coarse_first`` holds: the fine-grid
-  conv would not stack, and it saves at least
+  input is a 2x trilinear upsample): one GEMM per tap on the upsample's
+  coarse input, then the taps' responses upsampled and added at their
+  shifts, the upsample's input never upsampled itself. ``model.forward``
+  takes it where ``coarse_first`` holds: it saves at least
   ``_COARSE_FIRST_FLOPS_PER_VALUE`` (160) GEMM FLOPs per upsampled value
   it adds, 1.75 c_in c_out taps >= 160 (taps c_out - c_in). That is the
-  paper-width pyramid's three finest levels and a wide UNet's
-  decoder convs and head, never a conv of the desk nets.
+  paper-width pyramid's levels and a wide UNet's decoder convs and head,
+  never a conv of the desk nets.
 
 A coarse-first conv executes 1/8 of its GEMM FLOPs plus the responses'
 upsample; ``perf.count_flops`` still counts the network as defined, an
-upsample followed by a conv on the fine grid. The per-tap and stacked
-backward passes rebuild the phase split and run the adjoint GEMMs on its
-slices; the coarse-first backward runs its GEMMs on the coarse grid.
+upsample followed by a conv on the fine grid. The per-tap backward pass
+rebuilds the phase split and runs the adjoint GEMMs on its slices; the
+coarse-first backward runs its GEMMs on the coarse grid.
 
 The trilinear upsample doubles H, W, then D with a two-tap stencil; its
 forward is the one-tap case of the coarse-first conv's tap sum
@@ -144,12 +143,32 @@ class ConvSpec:
             raise ContractError(f"bias shape {self.bias.shape} != ({self.c_out},)")
 
 
+# Uniform draws per block of ``make_conv_spec``'s fill (256 KiB): the
+# whole weight array drawn and then copied would hold both at once.
+_DRAW_BLOCK_VALUES = 2**15
+
+
 def make_conv_spec(c_in, c_out, kernel, stride, rng: np.random.Generator) -> ConvSpec:
-    """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero bias."""
+    """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero bias.
+
+    The values are those of ``rng.uniform(-bound, bound, size=(c_out, c_in)
+    + kernel)``, bit for bit, but sit in memory as [c_out, kh, kw, kd, c_in]
+    (the module docstring). The draw is filled in blocks of output
+    channels, each as ``uniform`` computes it, -bound + 2 bound u for
+    u = ``rng.random()``, with the scaling written straight into its
+    tap-major place.
+    """
     kernel = tuple(kernel)
-    taps = int(np.prod(kernel))
+    taps = math.prod(kernel)
     bound = np.sqrt(6.0 / (c_in * taps + c_out * taps))
-    w = Tensor(rng.uniform(-bound, bound, size=(c_out, c_in) + kernel), requires_grad=True)
+    stored = np.empty((c_out, taps, c_in))
+    rows = max(1, _DRAW_BLOCK_VALUES // (c_in * taps))
+    for r0 in range(0, c_out, rows):
+        u = rng.random((min(rows, c_out - r0), c_in, taps))
+        block = stored[r0 : r0 + len(u)]
+        np.multiply(u.transpose(0, 2, 1), bound - -bound, out=block)
+        block += -bound
+    w = Tensor(np.moveaxis(stored.reshape((c_out,) + kernel + (c_in,)), -1, 1), requires_grad=True)
     b = Tensor(np.zeros(c_out), requires_grad=True)
     return ConvSpec(c_in, c_out, kernel, tuple(stride), w, b)
 
@@ -258,18 +277,6 @@ class _PhaseGrid:
         )
 
 
-def _gathers(c_out: int, cols: int) -> bool:
-    """Whether a conv stacks its tap slices into one GEMM instead of a GEMM per tap.
-
-    A GEMM per tap reads the input in place but needs the weights copied
-    into tap-major order (c_out * c_in * taps values). One GEMM over the
-    stacked slices uses the weights in place but copies c_in * taps * cols
-    input values, which is fewer when the grid has no more columns than
-    the conv has output channels: the deep, wide, small-extent levels.
-    """
-    return cols <= c_out
-
-
 @functools.lru_cache(maxsize=128)
 def _phase_grid(batch: int, extents: tuple, kernel: tuple, stride: tuple) -> _PhaseGrid:
     """The ``_PhaseGrid`` of one conv geometry, built once: it is read-only after ``__init__``."""
@@ -282,7 +289,9 @@ def _phase_grid(batch: int, extents: tuple, kernel: tuple, stride: tuple) -> _Ph
 # From 201.6 up coarse-first was faster on every grid of more than 32
 # coarse voxels (its per-call overhead, about 0.1 ms, lost on two of 4x4x2);
 # below 145 it also lost at larger grids. Every conv of the desk nets is at
-# 101 or less and stays on the direct path, so the desk outputs do not move.
+# 101 or less and stays on the per-tap path, so the desk outputs do not
+# move. The sweep copied the weights into tap-major order on both paths;
+# they are stored that way now, and the rule was not fitted again.
 _COARSE_FIRST_FLOPS_PER_VALUE = 160
 
 
@@ -290,32 +299,34 @@ def coarse_first(spec: ConvSpec, shape) -> bool:
     """Whether the conv of a 2x trilinear upsample of a ``shape`` input runs coarse-first.
 
     Both operators are linear and the upsample acts per channel, so the
-    conv's channel-mixing GEMM can run on the coarse input, at 1/8 of the
+    conv's channel-mixing GEMMs can run on the coarse input, at 1/8 of the
     voxels, with each tap's c_out responses upsampled instead of the c_in
     input channels (``conv3d(..., upsampled=True)``). Per fine voxel that
     saves 2 * c_in * c_out * taps * 7/8 GEMM FLOPs and adds
     taps * c_out - c_in upsampled values; the conv runs coarse-first when
     it saves at least ``_COARSE_FIRST_FLOPS_PER_VALUE`` per value added,
-    so always when taps * c_out <= c_in. Only stride-1 convs, and only
-    where the fine-grid conv would not stack its taps (``_gathers``): on
-    those tiny grids the tap-major weight copy outweighs the GEMM.
+    so always when taps * c_out <= c_in. Only stride-1 convs.
     """
-    b, c, *extents = shape
-    taps = spec.kernel[0] * spec.kernel[1] * spec.kernel[2]
-    if spec.stride != (1, 1, 1) or c != spec.c_in:
+    taps = math.prod(spec.kernel)
+    if spec.stride != (1, 1, 1) or shape[1] != spec.c_in:
         return False
-    fine = _phase_grid(b, tuple(2 * n for n in extents), spec.kernel, spec.stride)
     saved = 1.75 * spec.c_in * spec.c_out * taps
-    return (not _gathers(spec.c_out, fine.cols)
-            and saved >= _COARSE_FIRST_FLOPS_PER_VALUE * (taps * spec.c_out - spec.c_in))
+    return saved >= _COARSE_FIRST_FLOPS_PER_VALUE * (taps * spec.c_out - spec.c_in)
 
 
-def _tap_matrices(w: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
-    """[c_out, c_in, kh, kw, kd] -> contiguous [taps, c_out, c_in], taps row-major."""
-    taps = w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1)
-    out = buffers.scratch(taps.shape)
-    out[...] = taps
-    return out
+def _tap_view(w: np.ndarray) -> np.ndarray:
+    """[c_out, c_in, kh, kw, kd] -> [c_out, taps, c_in], taps row-major.
+
+    ``[:, t]`` is tap t's [c_out, c_in] matrix. In ``make_conv_spec``'s
+    memory order the result is a contiguous view, so each tap's matrix has
+    unit column stride and BLAS reads it in place.
+    """
+    return w.transpose(0, 2, 3, 4, 1).reshape(w.shape[0], -1, w.shape[1])
+
+
+def _from_taps(dw: np.ndarray, kernel) -> np.ndarray:
+    """Inverse of ``_tap_view``: [c_out, taps, c_in] -> a [c_out, c_in, kh, kw, kd] view."""
+    return np.moveaxis(dw.reshape(dw.shape[:1] + tuple(kernel) + dw.shape[2:]), -1, 1)
 
 
 # np.matmul is a ufunc and would warn on the floating-point flags BLAS
@@ -326,69 +337,53 @@ def _tap_matrices(w: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
 
 def _tap_sum(w: np.ndarray, views: list, buffers: Buffers) -> np.ndarray:
     """Sum over taps t of w_t @ views[t]: the conv on the grid, [c_out, cols]."""
-    c_out, cols = w.shape[0], views[0].shape[1]
+    w_taps = _tap_view(w)
+    acc = buffers.scratch((w.shape[0], views[0].shape[1]))
+    tmp = buffers.scratch(acc.shape)
     with np.errstate(all="ignore"):
-        if _gathers(c_out, cols):
-            stacked = buffers.scratch((views[0].shape[0], len(views), cols))
-            np.stack(views, axis=1, out=stacked)
-            acc = buffers.scratch((c_out, cols))
-            return np.matmul(w.reshape(c_out, -1), stacked.reshape(-1, cols), out=acc)
-        w_taps = _tap_matrices(w, buffers)
-        acc = buffers.scratch((c_out, cols))
-        tmp = buffers.scratch((c_out, cols))
         for t, view in enumerate(views):
-            np.matmul(w_taps[t], view, out=acc if t == 0 else tmp)
+            np.matmul(w_taps[:, t], view, out=acc if t == 0 else tmp)
             if t:
                 acc += tmp
     return acc
 
 
-def _tap_sum_weight_grad(g_cols: np.ndarray, views: list, w_shape) -> np.ndarray:
-    """Adjoint of ``_tap_sum`` in w: g_cols @ views[t].T per tap."""
-    c_out, cols = g_cols.shape
+def _tap_sum_weight_grad(g_cols: np.ndarray, views: list, kernel) -> np.ndarray:
+    """Adjoint of ``_tap_sum`` in w: g_cols @ views[t].T per tap, as [c_out, c_in, kh, kw, kd]."""
+    dw = np.empty((g_cols.shape[0], len(views), views[0].shape[0]))
     with np.errstate(all="ignore"):
-        if _gathers(c_out, cols):
-            return (g_cols @ np.stack(views, axis=1).reshape(-1, cols).T).reshape(w_shape)
-        dw = np.empty((len(views), c_out, w_shape[1]))
         for t, view in enumerate(views):
-            np.matmul(g_cols, view.T, out=dw[t])
-    return dw.transpose(1, 2, 0).reshape(w_shape)
+            np.matmul(g_cols, view.T, out=dw[:, t])
+    return _from_taps(dw, kernel)
 
 
 def _tap_sum_input_grad(w: np.ndarray, g_cols: np.ndarray, dviews: list):
     """Adjoint of ``_tap_sum`` in the views: adds w_t.T @ g_cols into dviews[t]."""
-    c_out, c_in = w.shape[:2]
-    cols = g_cols.shape[1]
+    w_taps = _tap_view(w)
+    tmp = np.empty((w.shape[1], g_cols.shape[1]))
     with np.errstate(all="ignore"):
-        if _gathers(c_out, cols):
-            stacked = (w.reshape(c_out, -1).T @ g_cols).reshape(c_in, len(dviews), cols)
-            for t, dview in enumerate(dviews):
-                dview += stacked[:, t]
-            return
-        w_taps = _tap_matrices(w)
-        tmp = np.empty((c_in, cols))
         for t, dview in enumerate(dviews):
-            np.matmul(w_taps[t].T, g_cols, out=tmp)
+            np.matmul(w_taps[:, t].T, g_cols, out=tmp)
             dview += tmp
 
 
 def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool = False) -> Tensor:
     """Strided cross-correlation over (H, W, D) with "same" zero padding.
 
-    The input is padded and split by stride phase once (see
-    ``_PhaseGrid``), so every kernel tap reads a contiguous column slice
-    of one phase in place. The taps' [c_out, c_in] x [c_in, cols] GEMMs
-    are summed on the phase grid, one GEMM per tap or, on grids with no
-    more columns than output channels, one GEMM over the stacked slices
-    (``_gathers``), and the sum is cropped once to the output extents.
-    The backward pass rebuilds the split from ``x`` and runs the
-    transposed GEMMs on the same slices, with the output gradient zero on
-    the cropped columns.
+    One of two paths. Per tap (the default): the input is padded and
+    split by stride phase once (see ``_PhaseGrid``), so every kernel tap
+    reads a contiguous column slice of one phase in place. The taps'
+    [c_out, c_in] x [c_in, cols] GEMMs, each with the tap's weights read
+    in place (``_tap_view``), are summed on the phase grid, and the sum is
+    cropped once to the output extents. The backward pass rebuilds the
+    split from ``x`` and runs the transposed GEMMs on the same slices,
+    with the output gradient zero on the cropped columns.
 
-    With ``upsampled`` the conv is applied to ``upsample_trilinear(x)``
-    and runs coarse-first (``_coarse_first_conv``): its GEMM on ``x``
-    itself, the taps' responses then upsampled and added at their shifts.
-    The caller decides when with ``coarse_first``; only stride-1 convs.
+    Coarse-first (``upsampled``): the conv is applied to
+    ``upsample_trilinear(x)`` with its GEMMs on ``x`` itself, the taps'
+    responses then upsampled and added at their shifts
+    (``_coarse_first_conv``). The caller decides when with
+    ``coarse_first``; only stride-1 convs.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"conv3d needs a 5-D tensor, got {x.shape}")
@@ -414,7 +409,7 @@ def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool 
         geo.valid(g_cols)[...] = g.transpose(1, 0, 2, 3, 4)
         if spec.weights.requires_grad:
             views = geo.tap_views(geo.split(x.data))
-            _accumulate(spec.weights, _tap_sum_weight_grad(g_cols, views, spec.weights.shape))
+            _accumulate(spec.weights, _tap_sum_weight_grad(g_cols, views, spec.kernel))
         if x.requires_grad:
             dphases = np.zeros((len(geo.phases), spec.c_in, geo.batch * geo.size))
             _tap_sum_input_grad(spec.weights.data, g_cols, geo.tap_views(dphases))
@@ -685,19 +680,20 @@ def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.nd
     """The stride-1 conv of ``upsample_trilinear(p)`` with its bias: [B, c_out, 2h, 2w, 2d].
 
     Both operators are linear and the upsample acts per channel, so
-    conv(up(p)) = sum over taps t of shift_t(up(W_t p)). One GEMM of the
-    tap-major weights [taps * c_out, c_in] with the coarse input
-    [c_in, voxels] gives every tap's c_out responses on the coarse grid
-    (kn2row: Anderson et al., "Low-memory GEMM-based convolution
-    algorithms for deep neural networks", 2017, here below the upsample),
-    and ``_upsampled_sum`` upsamples them and adds them at their shifts.
+    conv(up(p)) = sum over taps t of shift_t(up(W_t p)). One GEMM per tap
+    of its weights [c_out, c_in] with the coarse input [c_in, voxels]
+    gives the tap's c_out responses on the coarse grid (kn2row: Anderson
+    et al., "Low-memory GEMM-based convolution algorithms for deep neural
+    networks", 2017, here below the upsample), and ``_upsampled_sum``
+    upsamples them and adds them at their shifts.
     """
     b, c_in, h, w, d = p.shape
-    w_taps = _tap_matrices(spec.weights.data, buffers)
+    w_taps = _tap_view(spec.weights.data)
     responses = buffers.scratch((b,) + spec.kernel + (spec.c_out, h, w, d))
+    by_tap = responses.reshape(b, -1, spec.c_out, h * w * d)
     with np.errstate(all="ignore"):
-        np.matmul(w_taps.reshape(-1, c_in), p.reshape(b, c_in, -1),
-                  out=responses.reshape(b, -1, h * w * d))
+        for t in range(by_tap.shape[1]):
+            np.matmul(w_taps[:, t], p.reshape(b, c_in, -1), out=by_tap[:, t])
     return _upsampled_sum(responses, buffers, spec.bias.data)
 
 
@@ -717,9 +713,9 @@ def _coarse_first_grads(g: np.ndarray, x: Tensor, spec: ConvSpec):
     The transpose of ``_coarse_first_conv``'s nested sums: the output
     gradient is moved back by each D shift and halved along D, each of
     those by each W shift and halved along W, and so on through H, giving
-    g_t [c_out, batch * voxels] per tap on the coarse grid. Then
-    dW_t = g_t x.T and dx = sum_t W_t.T g_t, each one GEMM over the
-    stacked taps.
+    g_t [c_out, batch * voxels] per tap on the coarse grid, stacked
+    channel-major like the weights' memory. Then dW_t = g_t x.T and
+    dx = sum_t W_t.T g_t, each one GEMM over the stacked taps.
     """
     if spec.bias.requires_grad:
         _accumulate(spec.bias, g.sum(axis=(0, 2, 3, 4)))
@@ -727,22 +723,21 @@ def _coarse_first_grads(g: np.ndarray, x: Tensor, spec: ConvSpec):
         return
     b, c_in, *extents = x.shape
     shift_h, shift_w, shift_d = (_axis_shifts(k, n) for k, n in zip(spec.kernel, g.shape[2:]))
-    g_taps = np.empty(spec.kernel + (spec.c_out, b) + tuple(extents))
+    g_taps = np.empty((spec.c_out,) + spec.kernel + (b,) + tuple(extents))
     for k, (dk, sk) in enumerate(shift_d):
         gk = _lerp_axis_adjoint(_unshifted(g, 4, dk, sk), 4)
         for j, (dj, sj) in enumerate(shift_w):
             gjk = _lerp_axis_adjoint(_unshifted(gk, 3, dj, sj), 3)
             for i, (di, si) in enumerate(shift_h):
                 gijk = _lerp_axis_adjoint(_unshifted(gjk, 2, di, si), 2)
-                g_taps[i, j, k] = gijk.transpose(1, 0, 2, 3, 4)
-    taps = len(shift_h) * len(shift_w) * len(shift_d)
-    g_rows = g_taps.reshape(taps * spec.c_out, -1)
+                g_taps[:, i, j, k] = gijk.transpose(1, 0, 2, 3, 4)
+    g_rows = g_taps.reshape(spec.c_out * math.prod(spec.kernel), -1)
     with np.errstate(all="ignore"):
         if spec.weights.requires_grad:
             x_cols = x.data.transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
-            dw = (g_rows @ x_cols.T).reshape(taps, spec.c_out, c_in)
-            _accumulate(spec.weights, dw.transpose(1, 2, 0).reshape(spec.weights.shape))
+            dw = (g_rows @ x_cols.T).reshape(spec.c_out, -1, c_in)
+            _accumulate(spec.weights, _from_taps(dw, spec.kernel))
         if x.requires_grad:
-            w_taps = _tap_matrices(spec.weights.data).reshape(-1, c_in)
-            dx = (w_taps.T @ g_rows).reshape((c_in, b) + tuple(extents))
+            w_rows = _tap_view(spec.weights.data).reshape(-1, c_in)
+            dx = (w_rows.T @ g_rows).reshape((c_in, b) + tuple(extents))
             _accumulate(x, dx.transpose(1, 0, 2, 3, 4))

@@ -53,7 +53,7 @@ class Tensor:
         # Leaves get a zero buffer up front so non-participating leaves
         # report a zero gradient after any backward pass.
         self.grad = (
-            np.zeros(self.data.shape) if (self.requires_grad and not _parents) else None
+            zeros_in_order(self.data) if (self.requires_grad and not _parents) else None
         )
         self._parents = tuple(_parents)
         self._backward = _backward
@@ -132,6 +132,19 @@ def zeros(shape, requires_grad=False) -> Tensor:
     return Tensor(np.zeros(_checked_shape(shape)), requires_grad=requires_grad)
 
 
+def zeros_in_order(a: np.ndarray) -> np.ndarray:
+    """Zeros of ``a``'s shape laid out in ``a``'s memory order.
+
+    A leaf's gradient and its optimizer state take their data's memory
+    order (conv weights are not C-ordered, see ``kernels``), so updates
+    combine arrays stepping through memory alike; mixed orders make numpy
+    iterate strided and buffer. Unlike ``np.zeros_like`` this leaves the
+    pages untouched until written, so an unused gradient costs no memory.
+    """
+    order = np.argsort(np.negative(a.strides), kind="stable")  # outermost axis first
+    return np.zeros([a.shape[i] for i in order]).transpose(np.argsort(order))
+
+
 def from_values(shape, values, requires_grad=False) -> Tensor:
     """Tensor with explicit content, filled in row-major order."""
     shape = _checked_shape(shape)
@@ -154,7 +167,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
         return
     if t.grad is None:
-        t.grad = np.zeros(t.data.shape)
+        t.grad = zeros_in_order(t.data)
     t.grad += g
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError
 from .model import NetworkGraph, forward, infer, save_checkpoint
 from .phantom import NoisePair
-from .tensor import Tensor, backward, zero_grads
+from .tensor import Tensor, backward, zero_grads, zeros_in_order
 
 LOG_EVERY = 50
 
@@ -119,8 +119,8 @@ class AdamState:
     """First/second moment buffers and the shared step counter."""
 
     def __init__(self, params: list[Tensor]):
-        self.m = [np.zeros(p.shape) for p in params]
-        self.v = [np.zeros(p.shape) for p in params]
+        self.m = [zeros_in_order(p.data) for p in params]
+        self.v = [zeros_in_order(p.data) for p in params]
         self.t = 0
 
 

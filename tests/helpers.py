@@ -16,20 +16,20 @@ def finite_difference_grads(fn, tensors, eps=1e-5):
     """Central-difference gradient of ``fn(*tensors)`` w.r.t. each tensor.
 
     ``fn`` must return a scalar Tensor and must not cache tensor data
-    between calls; the data buffers are perturbed in place.
+    between calls; the data buffers are perturbed in place, element by
+    multi-index, so the perturbation reaches arrays of any memory order.
     """
     grads = []
     for t in tensors:
         g = np.zeros(t.data.shape)
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
+        for i in np.ndindex(t.data.shape):
+            original = t.data[i]
+            t.data[i] = original + eps
             up = fn().item()
-            flat[i] = original - eps
+            t.data[i] = original - eps
             down = fn().item()
-            flat[i] = original
-            g.reshape(-1)[i] = (up - down) / (2.0 * eps)
+            t.data[i] = original
+            g[i] = (up - down) / (2.0 * eps)
         grads.append(g)
     return grads
 

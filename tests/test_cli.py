@@ -334,3 +334,31 @@ def test_eval_reproducible(tiny_pipeline, tmp_path):
                 "--realizations", 2, "--histories", 100, "--seed", 5, "--out", out)
     assert (a / "metrics.csv").read_text() == (b / "metrics.csv").read_text()
     assert tree_digest(a) == tree_digest(b)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--realizations", 0),  # was exit 0 with an all-NaN summary
+    ("eval", "--normalization-dose", 0),  # was exit 4 after a division by zero
+    ("denoise", "--normalization-dose", 0),
+    ("eval", "--normalization-dose", -80),  # was exit 0 with an all-zero volume
+    ("denoise", "--normalization-dose", -80),
+    ("denoise", "--normalization-dose", "nan"),
+    ("train", "--normalization-dose", 0),
+    ("phantom", "--cases", 0),  # these were exit 3, after creating the output directory
+    ("phantom", "--histories", 0),
+    ("eval", "--histories", 0),
+])
+def test_degenerate_flags_are_usage_errors(tiny_pipeline, tmp_path, command, flag, value):
+    _, train_ds, test_ds, run_dir = tiny_pipeline
+    checkpoint = run_dir / "checkpoint.ddpk"
+    inputs = {
+        "eval": ["--checkpoint", checkpoint, "--data", test_ds],
+        "denoise": ["--checkpoint", checkpoint, "--input", test_ds / "case_000" / "noisy_00.dvol"],
+        "train": ["--data", train_ds, "--iterations", 1],
+        "phantom": ["--extents", "16x16x8"],
+    }[command]
+    out = tmp_path / "out"
+    proc = run_cli(command, *inputs, flag, value, "--out", out, check=False)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert not out.exists()

@@ -132,7 +132,8 @@ def test_conv_strided_matches_loop_oracle():
         # odd extents under stride-2 axes: the padded extents round up
         ((1, 2, 5, 7, 3), 2, (3, 3, 3), (2, 1, 2), (1, 2, 3, 7, 2)),
         ((2, 3, 5, 5, 4), 2, (3, 3, 1), (2, 2, 1), (2, 2, 3, 3, 4)),
-        # the deepest paper-width backbone level, 1x1x2 and its 2x2x2 input
+        # the deepest paper-width backbone level, 1x1x2 and its 2x2x2 input,
+        # whose grids have fewer columns than output channels
         ((1, 3, 1, 1, 2), 4, (1, 1, 3), (1, 1, 2), (1, 4, 1, 1, 1)),
         ((1, 3, 2, 2, 2), 4, (3, 3, 1), (2, 2, 1), (1, 4, 1, 1, 2)),
         ((1, 3, 1, 1, 2), 4, (3, 3, 1), (1, 1, 1), (1, 4, 1, 1, 2)),
@@ -151,8 +152,7 @@ def test_conv_strided_matches_loop_oracle():
         want = conv3d_loops(x, spec.weights.data, spec.bias.data, stride, padding)
         assert got.shape == out_shape
         assert np.max(np.abs(got - want)) < 1e-10
-        geo = K._PhaseGrid(shape[0], shape[2:], kernel, stride)
-        paths.add("stacked" if K._gathers(c_out, geo.cols) else "per tap")
+        paths.add("per tap")
         if stride == (1, 1, 1) and shape[1] >= 8:
             # the conv of this input's 2x upsample, coarse-first on the input itself
             coarse = x[:, :, : shape[2] // 2 + 1, : shape[3] // 2 + 1, : shape[4] // 2 + 1]
@@ -162,7 +162,7 @@ def test_conv_strided_matches_loop_oracle():
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-10
             paths.add("coarse-first")
-    assert paths == {"per tap", "stacked", "coarse-first"}
+    assert paths == {"per tap", "coarse-first"}
 
 
 S1 = (1, 1, 1)

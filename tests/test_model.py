@@ -205,11 +205,13 @@ _COARSE_FIRST_PINS = [
     (M.UNET_BASELINE, M.ScaledConfig(8, 3, (32, 32, 16)), []),
     (M.UNET_BASELINE, M.ScaledConfig(8, 3, (64, 64, 32)), []),
     (M.PROPOSED, M.ScaledConfig(64, 5, (64, 64, 64)),  # paper width
-     [(512, 128, (4, 4, 4)), (256, 64, (8, 8, 8)), (128, 8, (16, 16, 16))]),
+     [(512, 512, (1, 1, 1)), (1024, 256, (2, 2, 2)),
+      (512, 128, (4, 4, 4)), (256, 64, (8, 8, 8)), (128, 8, (16, 16, 16))]),
     (M.UNET_BASELINE, M.ScaledConfig(16, 4, (64, 64, 64)),
      [(128, 64, (4, 4, 4)), (128, 32, (8, 8, 8)), (32, 1, (32, 32, 32))]),
     (M.UNET_BASELINE, M.ScaledConfig(64, 6, (64, 64, 64)),
-     [(1024, 256, (4, 4, 4)), (512, 128, (8, 8, 8)), (256, 64, (16, 16, 16)),
+     [(512, 512, (1, 1, 1)), (1024, 512, (2, 2, 2)),
+      (1024, 256, (4, 4, 4)), (512, 128, (8, 8, 8)), (256, 64, (16, 16, 16)),
       (128, 1, (32, 32, 32))]),
 ]
 
@@ -422,6 +424,47 @@ def test_checkpoint_roundtrip_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     x = Tensor(np.random.default_rng(6).normal(size=(1, 1, 32, 32, 16)))
     assert np.array_equal(M.forward(net, x).data, M.forward(loaded, x).data)
+
+
+@pytest.mark.parametrize("block", [K._DRAW_BLOCK_VALUES, 130])  # 130: several blocks, some partial
+def test_conv_weights_stay_tap_major(tmp_path, monkeypatch, block):
+    # the per-tap GEMMs read each tap's [c_out, c_in] weights in place, so the
+    # memory order must survive a training step and a checkpoint round trip
+    # while the values and the checkpoint bytes stay those of a C-order draw
+    monkeypatch.setattr(K, "_DRAW_BLOCK_VALUES", block)
+    net = M.build_proposed(DESK, seed=5)
+    convs = [layer.spec for layer in net.layers if layer.kind == "conv"]
+    rng = np.random.default_rng(5)
+    for spec in convs:
+        taps = spec.kernel[0] * spec.kernel[1] * spec.kernel[2]
+        bound = np.sqrt(6.0 / (spec.c_in * taps + spec.c_out * taps))
+        want = rng.uniform(-bound, bound, size=spec.weights.shape)
+        assert np.array_equal(spec.weights.data, want)
+
+    def assert_tap_major(specs):
+        for spec in specs:
+            taps = K._tap_view(spec.weights.data)
+            assert taps.flags.c_contiguous and np.shares_memory(taps, spec.weights.data)
+
+    assert_tap_major(convs)
+    params = net.param_tensors()
+    state = training.AdamState(params)
+    x = Tensor(np.random.default_rng(6).normal(size=(1, 1) + DESK.input_extents))
+    training.n2n_loss(M.forward(net, x), x).backward()
+    training.adam_step(params, state, training.TrainConfig())
+    assert_tap_major(convs)
+    # gradients and Adam moments step through memory as their weights do
+    for p, m, v in zip(params, state.m, state.v):
+        assert p.grad.strides == m.strides == v.strides == p.data.strides
+
+    path = tmp_path / "net.ddpk"
+    M.save_checkpoint(net, path)
+    loaded = M.load_checkpoint(path)
+    assert_tap_major(layer.spec for layer in loaded.layers if layer.kind == "conv")
+    for spec in convs:
+        spec.weights.data = np.ascontiguousarray(spec.weights.data)
+    M.save_checkpoint(net, tmp_path / "c_order.ddpk")
+    assert path.read_bytes() == (tmp_path / "c_order.ddpk").read_bytes()
 
 
 def test_checkpoint_size_formula(tmp_path):
