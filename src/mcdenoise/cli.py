@@ -440,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory from the phantom command")
     p.add_argument("--out", required=True)
     p.add_argument("--model", choices=[PROPOSED, UNET_BASELINE], default=PROPOSED)
-    p.add_argument("--features", type=int, default=8, help="base feature count")
-    p.add_argument("--down", type=int, default=DESK_NUM_DOWN, help="downsampling module count")
+    p.add_argument("--features", type=_positive_int, default=8, help="base feature count")
+    p.add_argument("--down", type=_positive_int, default=DESK_NUM_DOWN, help="downsampling module count")
     p.add_argument("--config", help="key=value TrainConfig file; flags win")
     p.add_argument("--iterations", type=int)
     p.add_argument("--lr", type=float)
@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analytic FLOPs and parameter counts",
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--model", choices=[PROPOSED, UNET_BASELINE], default=PROPOSED)
-    p.add_argument("--features", type=int, default=64)
-    p.add_argument("--down", type=int, default=None, help="defaults to the paper depth of --model")
+    p.add_argument("--features", type=_positive_int, default=64)
+    p.add_argument("--down", type=_positive_int, default=None, help="defaults to the paper depth of --model")
     p.add_argument("--extents", default="256x256x64")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-time comparison of module variants",
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--extents", default="32x32x16")
-    p.add_argument("--channels", type=int, default=64)
+    p.add_argument("--channels", type=_positive_int, default=64)
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

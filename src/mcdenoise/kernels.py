@@ -39,6 +39,14 @@ forward is the one-tap case of the coarse-first conv's tap sum
 (``_upsampled_sum``), which works one batch item and one block of channels
 at a time in block-sized scratch, only the last pass writing the output.
 
+Instance norm standardizes each channel over its volume; with ``relu``
+it also clamps the result at zero, the norm and the ReLU after it as one
+kernel (``model.forward`` runs every norm whose only consumer is a relu
+this way). Its backward keeps the input, the output and the per-channel
+mean and 1 / sigma, and recomputes the rest. No kernel's backward reads a
+temporary of its forward: those come from ``Buffers.scratch`` and die
+when the kernel returns.
+
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
 sub-volume ``x[i::2, j::2, k::2]`` for i, j, k in {0, 1}. The voxel
@@ -158,6 +166,9 @@ def make_conv_spec(c_in, c_out, kernel, stride, rng: np.random.Generator) -> Con
     u = ``rng.random()``, with the scaling written straight into its
     tap-major place.
     """
+    if c_in < 1 or c_out < 1:
+        raise ContractError(f"a conv needs at least one input and one output channel, "
+                            f"got {c_in} -> {c_out}")
     kernel = tuple(kernel)
     taps = math.prod(kernel)
     bound = np.sqrt(6.0 / (c_in * taps + c_out * taps))
@@ -439,9 +450,17 @@ def conv_slice(x: Tensor, spec: ConvSpec) -> Tensor:
 
 def instance_norm(
     x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE_NORM_EPS,
-    buffers: Buffers = FRESH,
+    buffers: Buffers = FRESH, relu: bool = False,
 ) -> Tensor:
-    """Standardize each (batch, channel) slab over its spatial extent."""
+    """Standardize each (batch, channel) slab over its spatial extent.
+
+    With ``relu`` the result is clamped at zero in place, the values of
+    ``tensor.relu`` applied to the norm, and the backward applies the
+    ReLU's mask, taken from the output's sign, before the norm's adjoint.
+    The backward keeps only ``x``, the output and the per-channel mean and
+    1 / sigma: it recomputes x_hat = (x - mean) / sigma with the forward's
+    own operations, so the values are those the forward normalized.
+    """
     if len(x.shape) != 5:
         raise ShapeError(f"instance_norm needs a 5-D tensor, got {x.shape}")
     channels = x.shape[1]
@@ -466,12 +485,18 @@ def instance_norm(
     gamma = scale.data.reshape(1, -1, 1, 1, 1)
     out = np.multiply(xhat, gamma, out=centered)
     out += shift.data.reshape(1, -1, 1, 1, 1)
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def _bw(g):
+        if relu:
+            g = g * (out > 0.0)
         if shift.requires_grad:
             _accumulate(shift, g.sum(axis=(0, 2, 3, 4)))
         if not (scale.requires_grad or x.requires_grad):
             return
+        xhat = np.subtract(x.data, mu)
+        np.multiply(xhat, inv_std, out=xhat)
         gx = g * xhat
         if scale.requires_grad:
             _accumulate(scale, gx.sum(axis=(0, 2, 3, 4)))

@@ -11,11 +11,15 @@ for every layer output (outputs whose lifetimes do not overlap share
 memory) and one scratch region for the kernels' temporaries, and the
 tensor walk runs the same kernels in views of it. Parameter iteration,
 checkpoint records and parameter counts read the table's params column.
-Both forwards skip an upsample whose only consumer is a conv that
-``kernels.coarse_first`` selects at the upsample's input shape: the conv
-then runs coarse-first on that input, and the plan gives the skipped
-upsample no memory. The layer list, checkpoints and ``perf.count_flops``
-still describe the network as defined, upsample and all.
+Both forwards run a layer and its only consumer as one kernel in two
+cases (``_fusion``, from a consumer map built once per net). An upsample
+whose only consumer is a conv that ``kernels.coarse_first`` selects at
+the upsample's input shape is skipped, and the conv runs coarse-first on
+that input. An inorm whose only consumer is a relu, which is every norm
+of both nets, runs ``kernels.instance_norm(..., relu=True)``, and the
+relu is skipped. A skipped layer hands its input on and the plan gives it
+no memory. The layer list, checkpoints and ``perf.count_flops`` still
+describe the network as defined, upsample and relu included.
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -109,8 +113,8 @@ class NetworkGraph:
     layers: list[Layer] = field(default_factory=list)
     # infer's buffer plan for the last input shape; it dies with the net
     plan: "_Plan | None" = field(default=None, init=False, repr=False, compare=False)
-    # upsample layer id -> its only consumer, when that is a conv (``_upsample_convs``)
-    upsample_convs: "dict | None" = field(default=None, init=False, repr=False, compare=False)
+    # layer id -> its only consumer, for each layer that feeds exactly one (``_only_consumer``)
+    consumers: "dict | None" = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self):
         for layer_id, layer in enumerate(self.layers):
@@ -305,40 +309,49 @@ def _check_input(net: NetworkGraph, shape):
     check_divisible(net.name, net.cfg.num_down, shape[2:], ShapeError)
 
 
-def _upsample_convs(net: NetworkGraph) -> dict:
-    """{upsample layer id: conv layer id} for each upsample whose only consumer is a conv.
+def _only_consumer(net: NetworkGraph, layer_id: int, kind: str) -> int | None:
+    """The layer that alone consumes ``layer_id``'s value, if it is a ``kind`` layer.
 
-    Built once per net from its wiring and kept on it.
+    The consumer map is built once per net from its wiring and kept on it.
     """
-    if net.upsample_convs is None:
-        consumers = {}
-        for layer_id, layer in enumerate(net.layers):
-            for i in layer.inputs:
-                consumers.setdefault(i, []).append(layer_id)
-        net.upsample_convs = {
-            layer_id: consumers[layer_id][0]
-            for layer_id, layer in enumerate(net.layers)
-            if layer.kind == "upsample" and len(consumers.get(layer_id, ())) == 1
-            and net.layers[consumers[layer_id][0]].kind == "conv"
-        }
-    return net.upsample_convs
+    if net.consumers is None:
+        users = {}
+        for i, layer in enumerate(net.layers):
+            for src in layer.inputs:
+                users.setdefault(src, []).append(i)
+        net.consumers = {src: ids[0] for src, ids in users.items() if len(ids) == 1}
+    user = net.consumers.get(layer_id)
+    return user if user is not None and net.layers[user].kind == kind else None
 
 
-def _skipped_conv(net: NetworkGraph, layer_id: int, shape) -> int | None:
-    """The conv that runs coarse-first on the input of upsample ``layer_id``, if any.
+def _fusion(net: NetworkGraph, layer_id: int, shape) -> tuple[int, int] | None:
+    """(skipped layer, fused layer) when ``layer_id`` and its only consumer run as one kernel.
 
-    ``shape`` is the upsample's input shape. The upsample is then skipped:
-    its conv is applied to the upsample's input (``kernels.coarse_first``).
+    ``shape`` is the shape of ``layer_id``'s input. An upsample whose only
+    consumer is a conv that ``kernels.coarse_first`` selects at that shape
+    is skipped, and the conv runs coarse-first on the upsample's input. An
+    inorm whose only consumer is a relu runs the relu in its own kernel,
+    and the relu is skipped. A skipped layer hands its input on.
     """
-    conv = _upsample_convs(net).get(layer_id)
-    if conv is not None and coarse_first(net.layers[conv].spec, shape):
-        return conv
+    kind = net.layers[layer_id].kind
+    if kind == "upsample":
+        conv = _only_consumer(net, layer_id, "conv")
+        if conv is not None and coarse_first(net.layers[conv].spec, shape):
+            return layer_id, conv
+    elif kind == "inorm":
+        relu_id = _only_consumer(net, layer_id, "relu")
+        if relu_id is not None:
+            return relu_id, layer_id
     return None
 
 
-def _coarse_conv(layer, xs, buffers=FRESH) -> Tensor:
-    """A conv whose upsample was skipped, applied to the upsample's input."""
-    return conv3d(xs[0], layer.spec, buffers, upsampled=True)
+# kind -> how a fused layer applies to its inputs (``_fusion``); the kernels are
+# named inside the functions, looked up at call time as in ``LAYER_RULES``
+_FUSED = {
+    "conv": lambda layer, xs, buffers=FRESH: conv3d(xs[0], layer.spec, buffers, upsampled=True),
+    "inorm": lambda layer, xs, buffers=FRESH: instance_norm(
+        xs[0], layer.scale, layer.shift, buffers=buffers, relu=True),
+}
 
 
 def _apply_checked(layer_id, layer, apply, xs, buffers: Buffers) -> Tensor:
@@ -353,23 +366,24 @@ def forward(net: NetworkGraph, x: Tensor, plan: "_Plan | None" = None) -> Tensor
 
     Without a plan every layer allocates its arrays and records the tape.
     With one (``infer`` makes it) every layer writes into the plan's views
-    and nothing is recorded; the kernels and checks are the same. An
-    upsample whose only consumer is a conv that ``kernels.coarse_first``
-    selects at the upsample's input shape is skipped: it passes its input
-    on, and the conv runs coarse-first on it.
+    and nothing is recorded; the kernels and checks are the same. Where
+    ``_fusion`` pairs a layer with its only consumer, one kernel runs both:
+    an upsample before a coarse-first conv, or a relu after an inorm, is
+    skipped and passes its input on.
     """
     _check_input(net, x.shape)
-    coarse = set()  # convs whose upsample was skipped in this call
+    skipped, fused = set(), set()  # decided in this call, as the walk reaches them
 
     def apply(layer_id, layer, rule, xs):
-        if layer.kind == "upsample":
-            conv = _skipped_conv(net, layer_id, xs[0].shape)
-            if conv is not None:
-                coarse.add(conv)
-                return xs[0]
+        pair = _fusion(net, layer_id, xs[0].shape)
+        if pair is not None:
+            skipped.add(pair[0])
+            fused.add(pair[1])
+        if layer_id in skipped:
+            return xs[0]
         buffers = FRESH if plan is None else plan.layer(layer_id)
-        return _apply_checked(layer_id, layer, _coarse_conv if layer_id in coarse else rule.apply,
-                              xs, buffers)
+        run = _FUSED[layer.kind] if layer_id in fused else rule.apply
+        return _apply_checked(layer_id, layer, run, xs, buffers)
 
     out = walk(net, x, apply)[-1]
     if plan is not None:
@@ -468,35 +482,41 @@ class _Plan:
     """Where each layer of ``net`` writes at one input shape.
 
     Layer outputs live from their layer to their last consumer and are
-    packed into one region (``_pack``); the last layer's output is not,
-    since it is returned. Kernel temporaries share one ``_Scratch``.
+    packed into one region (``_pack``). A layer that ``_fusion`` skips has
+    no output of its own: its value is its input's, so its consumers
+    extend that input's lifetime. The value the net returns is not packed.
+    Kernel temporaries share one ``_Scratch``.
     """
 
     def __init__(self, net: NetworkGraph, shape):
         self.shape = tuple(shape)
         shapes = walk(net, self.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
-        skipped = {}  # skipped upsample -> its coarse-first conv
+        skipped = set()
+        owner = []  # the layer whose output holds each layer's value; -1 the input
         for layer_id, layer in enumerate(net.layers):
-            if layer.kind == "upsample":
-                src = layer.inputs[0]
-                conv = _skipped_conv(net, layer_id, self.shape if src == -1 else shapes[src])
-                if conv is not None:
-                    skipped[layer_id] = conv
+            src = layer.inputs[0]
+            pair = _fusion(net, layer_id, self.shape if src == -1 else shapes[src])
+            if pair is not None:
+                skipped.add(pair[0])
+            owner.append((-1 if src == -1 else owner[src]) if layer_id in skipped else layer_id)
         last_use = list(range(len(shapes)))
         for layer_id, layer in enumerate(net.layers):
             for i in layer.inputs:
-                if i >= 0:
-                    # a skipped upsample's input is read by its conv
-                    last_use[i] = max(last_use[i], skipped.get(layer_id, layer_id))
-        kept = shapes[:-1]
-        sizes = [0 if i in skipped else _nbytes(s) for i, s in enumerate(kept)]
-        offsets, nbytes = _pack(sizes, list(enumerate(last_use[:-1])))
+                if i >= 0 and owner[i] >= 0:
+                    last_use[owner[i]] = max(last_use[owner[i]], layer_id)
+        returned = owner[-1]
+        planned = [i == owner[i] and i != returned for i in range(len(shapes))]
+        sizes = [_nbytes(s) if p else 0 for s, p in zip(shapes, planned)]
+        offsets, nbytes = _pack(sizes, list(enumerate(last_use)))
         self.region = np.empty(nbytes, np.uint8)
         self.scratch = _Scratch()
-        self.buffers = [
-            _PlannedBuffers(None if i in skipped else _view(self.region, o, s), self.scratch)
-            for i, (o, s) in enumerate(zip(offsets, kept))
-        ] + [_PlannedBuffers(None, self.scratch)]
+        outs = [
+            None if i == returned  # fresh, handed to the caller
+            else _view(self.region, o, s) if p
+            else np.empty(0)  # skipped: the layer writes nothing
+            for i, (o, s, p) in enumerate(zip(offsets, shapes, planned))
+        ]
+        self.buffers = [_PlannedBuffers(out, self.scratch) for out in outs]
 
     def layer(self, layer_id) -> _PlannedBuffers:
         """The buffers of ``layer_id``, with the scratch region free again."""

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError
 from .kernels import conv3d, instance_norm, make_conv_spec
 from .model import NetworkGraph, check_divisible, walk
-from .tensor import Tensor, relu
+from .tensor import Tensor
 
 
 def conv_flops(c_in, kernel, c_out, out_extents) -> int:
@@ -175,14 +175,23 @@ class BenchRow:
 BENCH_CSV_HEADER = "module,median_ms,iqr_ms,repeats,workers"
 
 
-def _time_forward(fn, x, repeats, warmup=3):
+def _time_alternating(fns, x, repeats, warmup=3):
+    """ms per call of each of ``fns`` on ``x``, one call of each per repeat.
+
+    The order reverses every repeat, so drift in the machine's speed and
+    the cache state one call leaves the next fall on every function alike.
+    """
     for _ in range(warmup):
-        fn(x)
-    samples = np.empty(repeats)
+        for fn in fns:
+            fn(x)
+    samples = np.empty((len(fns), repeats))
+    order = list(range(len(fns)))
     for i in range(repeats):
-        start = time.perf_counter()
-        fn(x)
-        samples[i] = (time.perf_counter() - start) * 1e3
+        for j in order:
+            start = time.perf_counter()
+            fns[j](x)
+            samples[j, i] = (time.perf_counter() - start) * 1e3
+        order.reverse()
     return samples
 
 
@@ -190,7 +199,10 @@ def bench_modules(
     extents=(32, 32, 16), channels: int = 64, repeats: int = 100, seed: int = 0
 ) -> list[BenchRow]:
     """Median/IQR forward time of one regular downsampling module against one
-    decoupled axial+slice module at identical input and output shapes."""
+    decoupled axial+slice module at identical input and output shapes.
+
+    Each conv feeds an instance norm with its ReLU fused, as in the
+    network, and the two modules' repeats alternate."""
     if repeats < 10:
         raise ContractError("bench_modules needs at least 10 repeats")
     extents = tuple(int(e) for e in extents)
@@ -207,15 +219,14 @@ def bench_modules(
     ]
 
     def regular_module(x):
-        return relu(instance_norm(conv3d(x, regular), *norms[0]))
+        return instance_norm(conv3d(x, regular), *norms[0], relu=True)
 
     def decoupled_module(x):
-        h = relu(instance_norm(conv3d(x, axial), *norms[1]))
-        return relu(instance_norm(conv3d(h, slicec), *norms[2]))
+        h = instance_norm(conv3d(x, axial), *norms[1], relu=True)
+        return instance_norm(conv3d(h, slicec), *norms[2], relu=True)
 
     x = Tensor(rng.standard_normal((1, c) + extents))
-    t_reg = _time_forward(regular_module, x, repeats)
-    t_dec = _time_forward(decoupled_module, x, repeats)
+    t_reg, t_dec = _time_alternating([regular_module, decoupled_module], x, repeats)
     threads = blas_threads()
     return [_row("regular3d", t_reg, repeats, threads), _row("decoupled", t_dec, repeats, threads)]
 

@@ -29,6 +29,14 @@ object and hands its result to ``Buffers.result``. The default, ``FRESH``,
 allocates every array and records the op on the tape; ``model.infer``
 passes views of a planned arena and records nothing. Each op's forward
 arithmetic is therefore written once and runs either way.
+
+What the tape keeps: a backward closure reads only its op's inputs, its
+output and per-channel statistics, never a temporary of the forward. What
+the backward needs beyond them it recomputes from them: ``relu`` takes its
+mask from the output's sign, and ``kernels.instance_norm`` recomputes its
+normalized values. A taped forward therefore retains its layers' values
+and little else (Chen et al., "Training Deep Nets with Sublinear Memory
+Cost", 2016, trade storage for recomputation the same way).
 """
 
 import numpy as np
@@ -239,7 +247,7 @@ class Buffers:
         return np.empty(shape)
 
     def scratch(self, shape, dtype=np.float64) -> np.ndarray:
-        """A temporary that is dead once the op returns (the tape may keep it)."""
+        """A temporary that is dead once the op returns; no backward closure reads it."""
         return np.empty(shape, dtype)
 
     def result(self, data, parents, backward_fn) -> Tensor:
@@ -306,14 +314,15 @@ def scalar_mul(a: Tensor, s) -> Tensor:
 def relu(a: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """max(a, 0); NaN stays NaN. The same values as selecting on the mask,
     which branches on every voxel and is about 10x slower on a mask
-    without pattern."""
-    mask = a.data > 0.0 if a.requires_grad else None  # only a taped result reads it
+    without pattern. The backward takes the mask from the output: it is
+    positive exactly where ``a`` is."""
+    out = np.maximum(a.data, 0.0, out=buffers.output(a.shape))
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * mask)
+            _accumulate(a, g * (out > 0.0))
 
-    return buffers.result(np.maximum(a.data, 0.0, out=buffers.output(a.shape)), (a,), _bw)
+    return buffers.result(out, (a,), _bw)
 
 
 def square(a: Tensor) -> Tensor:

@@ -8,6 +8,7 @@ equivalence (and its failure under biased noise) on an analytically
 solvable scalar model.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -34,20 +35,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ConfigError("lr must be positive")
+        # written so that NaN fails: every comparison with it is false
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ConfigError("adam_eps must be positive")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if len(self.crop_extents) != 3 or any(e < 1 for e in self.crop_extents):
             raise ConfigError(f"bad crop extents {self.crop_extents}")
         if self.pad < 0:
             raise ConfigError("pad must be >= 0")
-        if self.normalization_dose <= 0.0:
-            raise ConfigError("normalization_dose must be positive")
+        if not 0.0 < self.normalization_dose < math.inf:
+            raise ConfigError(
+                f"normalization_dose must be positive and finite, got {self.normalization_dose}")
 
 
 def parse_extents(text: str) -> tuple[int, int, int]:

@@ -362,3 +362,40 @@ def test_degenerate_flags_are_usage_errors(tiny_pipeline, tmp_path, command, fla
     assert proc.returncode == 2
     assert flag in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--lr", "nan"], None),  # these ran one step and exited 4 with an empty run directory
+    (["--lr", "inf"], None),
+    ([], "adam_eps=nan\n"),
+    ([], "normalization_dose=inf\n"),
+], ids=["lr-nan", "lr-inf", "config-adam_eps-nan", "config-normalization_dose-inf"])
+def test_train_rejects_non_finite_config(tiny_pipeline, tmp_path, flags, config):
+    _, train_ds, _, _ = tiny_pipeline
+    if config is not None:
+        cfg_file = tmp_path / "train.cfg"
+        cfg_file.write_text(config)
+        flags = flags + ["--config", cfg_file]
+    out = tmp_path / "out"
+    proc = run_cli("train", "--data", train_ds, "--iterations", 1, *flags, "--out", out, check=False)
+    assert proc.returncode == 3
+    assert "finite" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("bench", "--channels", 0),  # was a ZeroDivisionError traceback
+    ("bench", "--channels", -4),  # was numpy's "negative dimensions are not allowed"
+    ("train", "--features", 0),
+    ("train", "--down", 0),
+    ("analyze", "--features", 0),
+    ("analyze", "--down", -1),
+])
+def test_channel_and_depth_flags_are_usage_errors(tmp_path, command, flag, value):
+    inputs = ["--data", tmp_path / "data"] if command == "train" else []
+    out = tmp_path / "out"
+    proc = run_cli(command, *inputs, flag, value, "--out", out, check=False)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

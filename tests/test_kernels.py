@@ -255,6 +255,13 @@ def test_conv_spec_validation():
         K.ConvSpec(1, 2, (3, 3, 3), (1, 1, 1), Tensor(np.zeros((1, 1, 3, 3, 3))), Tensor(np.zeros(2)))
 
 
+@pytest.mark.parametrize("c_in, c_out", [(0, 4), (4, 0), (-4, 4)])
+def test_make_conv_spec_needs_channels(c_in, c_out):
+    # zero channels divided by zero in the Glorot bound; negative ones reached numpy
+    with pytest.raises(ContractError, match="channel"):
+        K.make_conv_spec(c_in, c_out, (3, 3, 1), (1, 1, 1), np.random.default_rng(0))
+
+
 # -- axial and slice convolutions ------------------------------------------------------
 
 

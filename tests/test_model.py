@@ -10,7 +10,7 @@ from mcdenoise import kernels as K
 from mcdenoise import model as M
 from mcdenoise import perf, training
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
-from mcdenoise.tensor import Tensor
+from mcdenoise.tensor import Tensor, backward
 
 from helpers import guard_build_network
 
@@ -96,17 +96,114 @@ def test_forward_looks_kernels_up_at_call_time(monkeypatch):
     calls = Counter()
     for name, kind in kinds.items():
         def counted(*args, _fn=getattr(M, name), _kind=kind, **kwargs):
-            calls[_kind] += 1
+            calls[_kind + "+relu" if kwargs.get("relu") else _kind] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(M, name, counted)
-    net = M.build_proposed(DESK, seed=0)
-    x = np.ones((1, 1, 32, 32, 16))
-    for run in (lambda: M.forward(net, Tensor(x)), lambda: M.infer(net, x)):
-        calls.clear()
-        run()
-        assert set(calls) == set(M.LAYER_RULES)
-        assert calls == Counter(layer.kind for layer in net.layers)
+    # every relu of both nets is its norm's only consumer, so the norm's kernel
+    # runs it (relu=True) and the relu layer calls nothing
+    called = set()
+    for net in (M.build_proposed(DESK, seed=0), M.build_unet_baseline(DESK, seed=0)):
+        x = np.ones((1, 1) + DESK.input_extents)
+        kinds_run = Counter("inorm+relu" if layer.kind == "inorm" else layer.kind
+                            for layer in net.layers if layer.kind != "relu")
+        assert kinds_run["inorm+relu"] == sum(layer.kind == "relu" for layer in net.layers)
+        for run in (lambda: M.forward(net, Tensor(x)), lambda: M.infer(net, x)):
+            calls.clear()
+            run()
+            assert calls == kinds_run
+            called |= set(calls)
+    assert called == set(M.LAYER_RULES) - {"inorm", "relu"} | {"inorm+relu"}
+
+
+# -- fused norm and relu, and what the tape keeps ----------------------------------------
+
+FUSION_NETS = [
+    (M.build_proposed, DESK),
+    (M.build_unet_baseline, M.ScaledConfig(8, 3, (16, 16, 8))),
+    (M.build_proposed, M.ScaledConfig(40, 2, (16, 16, 8))),  # both pyramid convs coarse-first
+]
+
+
+@pytest.mark.parametrize("build, cfg", FUSION_NETS)
+def test_fused_norm_relu_is_bit_identical(build, cfg, monkeypatch):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(1, 1) + cfg.input_extents)
+    target = Tensor(rng.normal(size=x.shape))
+    relus = Counter()
+    real_relu = M.relu
+    monkeypatch.setattr(M, "relu", lambda *a: relus.update(["relu"]) or real_relu(*a))
+
+    def run():
+        net = build(cfg, seed=3)
+        xt = Tensor(x, requires_grad=True)
+        out = M.forward(net, xt)
+        backward(training.n2n_loss(out, target))
+        return [out.data, M.infer(net, x), xt.grad] + [t.grad for t in net.param_tensors()]
+
+    fused = run()
+    assert relus["relu"] == 0
+    # the net as it ran before: every relu its own layer after its norm
+    only = M._only_consumer
+    monkeypatch.setattr(M, "_only_consumer",
+                        lambda net, i, kind: None if kind == "relu" else only(net, i, kind))
+    plain = run()
+    assert relus["relu"] == 2 * sum(layer.kind == "relu" for layer in build(cfg).layers)
+    assert len(fused) == len(plain)
+    for got, want in zip(fused, plain):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _held(value, seen):
+    """The arrays and tensors a backward closure can reach: through nested
+    closures, containers and object attributes, stopping at tensors."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, (np.ndarray, Tensor)):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _held(v, seen)
+    elif callable(value) and getattr(value, "__closure__", None):
+        for cell in value.__closure__:
+            yield from _held(cell.cell_contents, seen)
+    elif hasattr(value, "__dict__") and not callable(value):
+        for v in vars(value).values():
+            yield from _held(v, seen)
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("build, cfg", [FUSION_NETS[0], FUSION_NETS[2]])
+def test_backward_closures_keep_only_values_and_per_channel_statistics(build, cfg):
+    # the tape holds no temporary of a kernel: a closure reads its node's value,
+    # its parents' values (parameters among them) and per-channel arrays
+    net = build(cfg, seed=1)
+    x = Tensor(np.random.default_rng(2).normal(size=(1, 1) + cfg.input_extents), requires_grad=True)
+    out = M.forward(net, x)
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    # one node per layer but the relus and the upsamples that coarse-first convs skip
+    assert len(nodes) == sum(layer.kind != "relu" for layer in net.layers) - len(
+        _coarse_first_convs(net, x.shape))
+    for node in nodes:
+        values = {id(_root(t.data)) for t in (node,) + node._parents}
+        per_channel = node.shape[0] * node.shape[1]
+        for v in _held(node._backward, set()):
+            if isinstance(v, Tensor):
+                assert v is node or any(v is p for p in node._parents)
+            else:
+                assert id(_root(v)) in values or v.size <= per_channel, (node, v.shape)
 
 
 # -- tape-free inference -----------------------------------------------------------------
@@ -132,11 +229,12 @@ def _coarse_first_convs(net, shape):
     """(upsample id, conv id, upsample input shape) of every conv ``forward`` runs coarse-first."""
     shapes = M.walk(net, shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
     found = []
-    for up, conv in M._upsample_convs(net).items():
-        src = net.layers[up].inputs[0]
+    for up, layer in enumerate(net.layers):
+        src = layer.inputs[0]
         coarse = shape if src == -1 else shapes[src]
-        if K.coarse_first(net.layers[conv].spec, coarse):
-            found.append((up, conv, coarse))
+        pair = M._fusion(net, up, coarse)
+        if layer.kind == "upsample" and pair is not None:
+            found.append((up, pair[1], coarse))
     return found
 
 
