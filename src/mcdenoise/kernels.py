@@ -42,7 +42,9 @@ at a time in block-sized scratch, only the last pass writing the output.
 Instance norm standardizes each channel over its volume; with ``relu``
 it also clamps the result at zero, the norm and the ReLU after it as one
 kernel (``model.forward`` runs every norm whose only consumer is a relu
-this way). Its backward keeps the input, the output and the per-channel
+this way). The clamp is ``tensor.relu``'s forward run in place on the
+norm's output and not recorded, so the ReLU's arithmetic is written once
+and a span around ``tensor.relu`` still times every ReLU. Its backward keeps the input, the output and the per-channel
 mean and 1 / sigma, and recomputes the rest. No kernel's backward reads a
 temporary of its forward: those come from ``Buffers.scratch`` and die
 when the kernel returns.
@@ -60,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
-from .tensor import FRESH, Buffers, Tensor, _accumulate
+from . import tensor
+from .tensor import FRESH, Buffers, InPlace, Tensor, _accumulate
 
 INSTANCE_NORM_EPS = 1e-5
 
@@ -454,9 +457,9 @@ def instance_norm(
 ) -> Tensor:
     """Standardize each (batch, channel) slab over its spatial extent.
 
-    With ``relu`` the result is clamped at zero in place, the values of
-    ``tensor.relu`` applied to the norm, and the backward applies the
-    ReLU's mask, taken from the output's sign, before the norm's adjoint.
+    With ``relu`` the result is clamped at zero in place by ``tensor.relu``'s
+    forward, untaped, and the backward applies the ReLU's mask, taken from
+    the output's sign, before the norm's adjoint.
     The backward keeps only ``x``, the output and the per-channel mean and
     1 / sigma: it recomputes x_hat = (x - mean) / sigma with the forward's
     own operations, so the values are those the forward normalized.
@@ -486,7 +489,7 @@ def instance_norm(
     out = np.multiply(xhat, gamma, out=centered)
     out += shift.data.reshape(1, -1, 1, 1, 1)
     if relu:
-        np.maximum(out, 0.0, out=out)
+        tensor.relu(Tensor(out), InPlace(out))
 
     def _bw(g):
         if relu:

@@ -27,16 +27,21 @@ training step.
 Buffers: an op takes its output and temporary arrays from a ``Buffers``
 object and hands its result to ``Buffers.result``. The default, ``FRESH``,
 allocates every array and records the op on the tape; ``model.infer``
-passes views of a planned arena and records nothing. Each op's forward
-arithmetic is therefore written once and runs either way.
+passes views of a planned arena and records nothing; ``InPlace`` lets a
+kernel run another op's forward over its own result, unrecorded (the
+fused norm's ReLU). Each op's forward arithmetic is therefore written
+once and runs every way.
 
 What the tape keeps: a backward closure reads only its op's inputs, its
-output and per-channel statistics, never a temporary of the forward. What
-the backward needs beyond them it recomputes from them: ``relu`` takes its
-mask from the output's sign, and ``kernels.instance_norm`` recomputes its
-normalized values. A taped forward therefore retains its layers' values
-and little else (Chen et al., "Training Deep Nets with Sublinear Memory
-Cost", 2016, trade storage for recomputation the same way).
+output and per-channel statistics, never a kernel's temporary. What the
+backward needs beyond them it recomputes from them: the fused norm and
+ReLU (``kernels.instance_norm(..., relu=True)``) takes the ReLU's mask
+from its output's sign and recomputes its normalized values. A taped
+forward of either network therefore retains its layers' values and little
+else (Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016,
+trade storage for recomputation the same way). The one op that keeps more
+is a standalone ``relu``, with a one-byte mask per value; the networks
+tape none, as ``model.forward`` runs each relu inside its norm's kernel.
 """
 
 import numpy as np
@@ -257,6 +262,20 @@ class Buffers:
 FRESH = Buffers()
 
 
+class InPlace(Buffers):
+    """Writes an op's output over ``out`` and records nothing: how a kernel
+    runs another op's forward on its own result."""
+
+    def __init__(self, out: np.ndarray):
+        self.out = out
+
+    def output(self, shape) -> np.ndarray:
+        return self.out
+
+    def result(self, data, parents, backward_fn) -> Tensor:
+        return Tensor(data)
+
+
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise ContractError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -314,15 +333,14 @@ def scalar_mul(a: Tensor, s) -> Tensor:
 def relu(a: Tensor, buffers: Buffers = FRESH) -> Tensor:
     """max(a, 0); NaN stays NaN. The same values as selecting on the mask,
     which branches on every voxel and is about 10x slower on a mask
-    without pattern. The backward takes the mask from the output: it is
-    positive exactly where ``a`` is."""
-    out = np.maximum(a.data, 0.0, out=buffers.output(a.shape))
+    without pattern."""
+    mask = a.data > 0.0 if a.requires_grad else None  # only a taped result reads it
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * (out > 0.0))
+            _accumulate(a, g * mask)
 
-    return buffers.result(out, (a,), _bw)
+    return buffers.result(np.maximum(a.data, 0.0, out=buffers.output(a.shape)), (a,), _bw)
 
 
 def square(a: Tensor) -> Tensor:

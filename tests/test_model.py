@@ -345,19 +345,32 @@ def test_infer_reuses_its_arena():
 
 
 def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
-    net = M.build_proposed(M.ScaledConfig(8, 3, (64, 64, 32)), seed=0)
-    M.infer(net, np.zeros((1, 1, 64, 64, 32)))
-    views = [b.out for b in net.plan.buffers[:-1]]
-    last_use = list(range(len(views)))
-    for layer_id, layer in enumerate(net.layers):
-        for i in layer.inputs:
-            if i >= 0:
-                last_use[i] = max(last_use[i], layer_id)
-    for i in range(len(views)):
-        for j in range(i + 1, len(views)):
-            if j <= last_use[i]:
-                assert not np.shares_memory(views[i], views[j]), (i, j)
-    assert net.plan.region.nbytes < sum(v.nbytes for v in views)
+    # the second net runs both pyramid convs coarse-first, so upsamples are skipped too
+    for cfg in (M.ScaledConfig(8, 3, (64, 64, 32)), M.ScaledConfig(40, 2, (16, 16, 8))):
+        net = M.build_proposed(cfg, seed=0)
+        shape = (1, 1) + cfg.input_extents
+        M.infer(net, np.zeros(shape))
+        views = [b.out for b in net.plan.buffers[:-1]]
+        # a skipped layer writes nothing and passes its input on, so the layer
+        # whose output holds a value lives until the skipped layer's consumers read it
+        skipped = {i for i, layer in enumerate(net.layers) if layer.kind == "relu"}
+        skipped |= {up for up, _, _ in _coarse_first_convs(net, shape)}
+        assert {i for i, v in enumerate(views) if v.size == 0} == skipped
+        owner = []
+        for layer_id, layer in enumerate(net.layers):
+            src = layer.inputs[0]
+            owner.append((-1 if src == -1 else owner[src]) if layer_id in skipped else layer_id)
+        last_use = list(range(len(net.layers)))
+        for layer_id, layer in enumerate(net.layers):
+            for i in layer.inputs:
+                if i >= 0 and owner[i] >= 0:
+                    last_use[owner[i]] = max(last_use[owner[i]], layer_id)
+        planned = [i for i, v in enumerate(views) if v.size]
+        for i in planned:
+            for j in planned:
+                if i < j <= last_use[i]:
+                    assert not np.shares_memory(views[i], views[j]), (i, j)
+        assert net.plan.region.nbytes < sum(v.nbytes for v in views)
 
 
 def test_infer_outputs_belong_to_the_caller():
