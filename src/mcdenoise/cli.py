@@ -382,15 +382,26 @@ def cmd_bench(args) -> int:
 # -- parser -------------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """A count flag; argparse reports a bad one as a usage error (exit 2) naming the flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_flag(low: int, high: float = math.inf):
+    """The type of an integer flag in [low, high); argparse reports a bad value
+    as a usage error (exit 2) naming the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}), got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_flag(1)
+_seed = _int_flag(0, 2**64)  # stored as u64 in volume headers and checkpoints
+_histories = _int_flag(1, 2**64)  # stored as u64 in volume headers
+_repeats = _int_flag(perf.MIN_REPEATS)
 
 
 def _positive_dose(text: str) -> float:
@@ -429,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cases", type=_positive_int, default=8, help="number of randomized cases")
     p.add_argument("--pairs", type=int, default=2, help="noisy realizations per case; even and >= 2, since training pairs them")
-    p.add_argument("--histories", type=_positive_int, default=2, help="simulated history count (low counts mean strong noise)")
+    p.add_argument("--histories", type=_histories, default=2, help="simulated history count (low counts mean strong noise)")
     p.add_argument("--extents", default="32x32x16", help="grid extents HxWxD")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_phantom)
 
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--crop", help="training crop extents HxWxD")
     p.add_argument("--pad", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--normalization-dose", type=_positive_dose, dest="normalization_dose")
     p.add_argument("--no-swap", action="store_true", help="disable input/target swapping")
     p.set_defaults(func=cmd_train)
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory holding held-out cases")
     p.add_argument("--realizations", type=_positive_int, default=15)
     p.add_argument("--histories", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--normalization-dose", type=_positive_dose, default=80.0, dest="normalization_dose")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -484,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--extents", default="32x32x16")
     p.add_argument("--channels", type=_positive_int, default=64)
-    p.add_argument("--repeats", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--repeats", type=_repeats, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

@@ -2,9 +2,10 @@
 
 All kernels take and return 5-D tensors laid out (B, C, H, W, D). Each
 takes its output and temporaries from a ``tensor.Buffers``: by default
-fresh arrays, with the backward rule recorded on the tape, while
-``model.infer`` passes planned views and records nothing. So each
-kernel's forward arithmetic is written once.
+fresh arrays, with the backward rule recorded on the tape, while a
+``tensor.Untaped`` (``model.infer`` passes one per layer, over planned
+views) records nothing. So each kernel's forward arithmetic is written
+once.
 
 Convolutions use cross-correlation semantics (no kernel flip). A conv's
 weights have the logical shape [c_out, c_in, k_h, k_w, k_d], which
@@ -21,8 +22,8 @@ runs through ``conv3d``, whose forward takes one of two paths:
 - coarse-first (``conv3d(..., upsampled=True)``, for a stride-1 conv whose
   input is a 2x trilinear upsample): one GEMM per tap on the upsample's
   coarse input, then the taps' responses upsampled and added at their
-  shifts, the upsample's input never upsampled itself. ``model.forward``
-  takes it where ``coarse_first`` holds: it saves at least
+  shifts, the upsample's input never upsampled itself. ``model._schedule``
+  picks it where ``coarse_first`` holds: it saves at least
   ``_COARSE_FIRST_FLOPS_PER_VALUE`` (160) GEMM FLOPs per upsampled value
   it adds, 1.75 c_in c_out taps >= 160 (taps c_out - c_in). That is the
   paper-width pyramid's levels and a wide UNet's decoder convs and head,
@@ -39,15 +40,17 @@ forward is the one-tap case of the coarse-first conv's tap sum
 (``_upsampled_sum``), which works one batch item and one block of channels
 at a time in block-sized scratch, only the last pass writing the output.
 
-Instance norm standardizes each channel over its volume; with ``relu``
-it also clamps the result at zero, the norm and the ReLU after it as one
-kernel (``model.forward`` runs every norm whose only consumer is a relu
-this way). The clamp is ``tensor.relu``'s forward run in place on the
-norm's output and not recorded, so the ReLU's arithmetic is written once
-and a span around ``tensor.relu`` still times every ReLU. Its backward keeps the input, the output and the per-channel
-mean and 1 / sigma, and recomputes the rest. No kernel's backward reads a
-temporary of its forward: those come from ``Buffers.scratch`` and die
-when the kernel returns.
+Instance norm standardizes each channel over its volume, with
+``INSTANCE_NORM_EPS`` added to the variance; with ``relu`` it also clamps
+the result at zero, the norm and the ReLU after it as one kernel
+(``model._schedule`` runs every norm whose only consumer is a relu this
+way). The clamp is ``tensor.relu``'s forward run in place on the norm's
+output through ``tensor.Untaped(out)``, so it is not recorded, the
+ReLU's arithmetic is written once and a span around ``tensor.relu``
+still times every ReLU. Its backward keeps the input, the output and the
+per-channel mean and 1 / sigma, and recomputes the rest. No kernel's
+backward reads a temporary of its forward: those come from
+``Buffers.scratch`` and die when the kernel returns.
 
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
@@ -61,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, ShapeError
 from . import tensor
-from .tensor import FRESH, Buffers, InPlace, Tensor, _accumulate
+from .tensor import FRESH, Buffers, Tensor, Untaped, _accumulate
 
 INSTANCE_NORM_EPS = 1e-5
 
@@ -452,8 +455,7 @@ def conv_slice(x: Tensor, spec: ConvSpec) -> Tensor:
 
 
 def instance_norm(
-    x: Tensor, scale: Tensor, shift: Tensor, eps: float = INSTANCE_NORM_EPS,
-    buffers: Buffers = FRESH, relu: bool = False,
+    x: Tensor, scale: Tensor, shift: Tensor, buffers: Buffers = FRESH, relu: bool = False
 ) -> Tensor:
     """Standardize each (batch, channel) slab over its spatial extent.
 
@@ -472,9 +474,6 @@ def instance_norm(
             f"instance_norm: scale/shift must have shape ({channels},), "
             f"got {scale.shape} and {shift.shape}"
         )
-    n_spatial = x.shape[2] * x.shape[3] * x.shape[4]
-    if eps <= 0.0 and n_spatial == 1:
-        raise NumericError("instance_norm over a single voxel needs eps > 0")
 
     # Two volume-sized buffers, each reused once (the squares become xhat,
     # the centred values the output): the norm is memory-bound, and every
@@ -483,13 +482,13 @@ def instance_norm(
     centered = np.subtract(x.data, mu, out=buffers.output(x.shape))
     xhat = np.square(centered, out=buffers.scratch(x.shape))
     var = xhat.mean(axis=(2, 3, 4), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + INSTANCE_NORM_EPS)
     np.multiply(centered, inv_std, out=xhat)
     gamma = scale.data.reshape(1, -1, 1, 1, 1)
     out = np.multiply(xhat, gamma, out=centered)
     out += shift.data.reshape(1, -1, 1, 1, 1)
     if relu:
-        tensor.relu(Tensor(out), InPlace(out))
+        tensor.relu(Tensor(out), Untaped(out))
 
     def _bw(g):
         if relu:

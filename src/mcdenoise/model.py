@@ -6,20 +6,18 @@ each layer names the layers it consumes (index -1 is the network input).
 with the layer's entry in ``LAYER_RULES``, the one table of how each kind
 applies to tensors and to shapes and which parameters it holds:
 ``forward`` walks tensors and ``perf.count_flops`` walks shapes.
-``infer`` is the forward without the tape: a shape walk plans one arena
-for every layer output (outputs whose lifetimes do not overlap share
-memory) and one scratch region for the kernels' temporaries, and the
-tensor walk runs the same kernels in views of it. Parameter iteration,
-checkpoint records and parameter counts read the table's params column.
-Both forwards run a layer and its only consumer as one kernel in two
-cases (``_fusion``, from a consumer map built once per net). An upsample
-whose only consumer is a conv that ``kernels.coarse_first`` selects at
-the upsample's input shape is skipped, and the conv runs coarse-first on
-that input. An inorm whose only consumer is a relu, which is every norm
-of both nets, runs ``kernels.instance_norm(..., relu=True)``, and the
-relu is skipped. A skipped layer hands its input on and the plan gives it
-no memory. The layer list, checkpoints and ``perf.count_flops`` still
-describe the network as defined, upsample and relu included.
+Both forwards run each layer as ``_schedule`` says, one shape walk kept
+on the net for the last input shape: a layer and its only consumer may
+run as one kernel (a conv runs coarse-first on the input of the upsample
+before it, an inorm runs the relu after it, which is every relu of both
+nets), the layer the kernel covers handing its input on. ``infer`` is
+the forward without the tape: from the schedule it plans one arena for
+every layer output (outputs whose lifetimes do not overlap share memory)
+and one scratch region for the kernels' temporaries, and the tensor walk
+runs the same kernels in views of it. Parameter iteration, checkpoint
+records and parameter counts read the table's params column. The layer
+list, checkpoints and ``perf.count_flops`` still describe the network as
+defined, upsample and relu included.
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -59,7 +57,7 @@ from .kernels import (
     voxel_shuffle,
     voxel_unshuffle,
 )
-from .tensor import FRESH, Buffers, Tensor, concat, relu
+from .tensor import FRESH, Buffers, Tensor, Untaped, concat, relu
 
 PROPOSED = "proposed"
 UNET_BASELINE = "unet-baseline"
@@ -113,8 +111,8 @@ class NetworkGraph:
     layers: list[Layer] = field(default_factory=list)
     # infer's buffer plan for the last input shape; it dies with the net
     plan: "_Plan | None" = field(default=None, init=False, repr=False, compare=False)
-    # layer id -> its only consumer, for each layer that feeds exactly one (``_only_consumer``)
-    consumers: "dict | None" = field(default=None, init=False, repr=False, compare=False)
+    # (input shape, ``_schedule`` at it) for the last input shape; it dies with the net
+    schedule: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self):
         for layer_id, layer in enumerate(self.layers):
@@ -309,49 +307,57 @@ def _check_input(net: NetworkGraph, shape):
     check_divisible(net.name, net.cfg.num_down, shape[2:], ShapeError)
 
 
-def _only_consumer(net: NetworkGraph, layer_id: int, kind: str) -> int | None:
-    """The layer that alone consumes ``layer_id``'s value, if it is a ``kind`` layer.
+# A layer's output shape, the function that runs it (None when another layer's
+# kernel covers it) and the layer whose output holds its value (-1: the input)
+Step = namedtuple("Step", "shape run owner")
 
-    The consumer map is built once per net from its wiring and kept on it.
-    """
-    if net.consumers is None:
-        users = {}
-        for i, layer in enumerate(net.layers):
-            for src in layer.inputs:
-                users.setdefault(src, []).append(i)
-        net.consumers = {src: ids[0] for src, ids in users.items() if len(ids) == 1}
-    user = net.consumers.get(layer_id)
-    return user if user is not None and net.layers[user].kind == kind else None
-
-
-def _fusion(net: NetworkGraph, layer_id: int, shape) -> tuple[int, int] | None:
-    """(skipped layer, fused layer) when ``layer_id`` and its only consumer run as one kernel.
-
-    ``shape`` is the shape of ``layer_id``'s input. An upsample whose only
-    consumer is a conv that ``kernels.coarse_first`` selects at that shape
-    is skipped, and the conv runs coarse-first on the upsample's input. An
-    inorm whose only consumer is a relu runs the relu in its own kernel,
-    and the relu is skipped. A skipped layer hands its input on.
-    """
-    kind = net.layers[layer_id].kind
-    if kind == "upsample":
-        conv = _only_consumer(net, layer_id, "conv")
-        if conv is not None and coarse_first(net.layers[conv].spec, shape):
-            return layer_id, conv
-    elif kind == "inorm":
-        relu_id = _only_consumer(net, layer_id, "relu")
-        if relu_id is not None:
-            return relu_id, layer_id
-    return None
-
-
-# kind -> how a fused layer applies to its inputs (``_fusion``); the kernels are
-# named inside the functions, looked up at call time as in ``LAYER_RULES``
+# kind -> how a layer runs when its kernel covers its neighbour's too (``_schedule``);
+# the kernels are named inside the functions, looked up at call time as in ``LAYER_RULES``
 _FUSED = {
     "conv": lambda layer, xs, buffers=FRESH: conv3d(xs[0], layer.spec, buffers, upsampled=True),
     "inorm": lambda layer, xs, buffers=FRESH: instance_norm(
         xs[0], layer.scale, layer.shift, buffers=buffers, relu=True),
 }
+
+
+def _schedule(net: NetworkGraph, shape) -> list[Step]:
+    """How each layer of ``net`` runs at input ``shape``: one ``Step`` per layer.
+
+    A layer and its only consumer run as one kernel in two cases. An
+    upsample whose only consumer is a conv that ``kernels.coarse_first``
+    selects at the upsample's input shape is skipped, and the conv runs
+    coarse-first on that input. An inorm whose only consumer is a relu runs
+    the relu in its own kernel, and the relu is skipped. A skipped layer
+    hands its input on, so the layer holding its input's value holds its.
+    """
+    users = [[] for _ in net.layers]
+    for layer_id, layer in enumerate(net.layers):
+        for src in layer.inputs:
+            if src >= 0:
+                users[src].append(layer_id)
+    runs = {}  # layer id -> its run, when its producer decided it
+
+    def visit(layer_id, layer, rule, inputs):
+        run = runs.get(layer_id, rule.apply)
+        user = users[layer_id][0] if len(users[layer_id]) == 1 else None
+        user_kind = None if user is None else net.layers[user].kind
+        if (layer.kind, user_kind) == ("upsample", "conv") and coarse_first(
+                net.layers[user].spec, inputs[0].shape):
+            run, runs[user] = None, _FUSED["conv"]
+        elif (layer.kind, user_kind) == ("inorm", "relu"):
+            run, runs[user] = _FUSED["inorm"], None
+        out_shape = rule.shape(layer, [step.shape for step in inputs])
+        return Step(out_shape, run, inputs[0].owner if run is None else layer_id)
+
+    return walk(net, Step(tuple(shape), None, -1), visit)
+
+
+def _scheduled(net: NetworkGraph, shape) -> list[Step]:
+    """``_schedule(net, shape)``, kept on ``net.schedule`` for the last input shape."""
+    shape = tuple(shape)
+    if net.schedule is None or net.schedule[0] != shape:
+        net.schedule = (shape, _schedule(net, shape))
+    return net.schedule[1]
 
 
 def _apply_checked(layer_id, layer, apply, xs, buffers: Buffers) -> Tensor:
@@ -366,23 +372,18 @@ def forward(net: NetworkGraph, x: Tensor, plan: "_Plan | None" = None) -> Tensor
 
     Without a plan every layer allocates its arrays and records the tape.
     With one (``infer`` makes it) every layer writes into the plan's views
-    and nothing is recorded; the kernels and checks are the same. Where
-    ``_fusion`` pairs a layer with its only consumer, one kernel runs both:
-    an upsample before a coarse-first conv, or a relu after an inorm, is
-    skipped and passes its input on.
+    and nothing is recorded; the kernels and checks are the same. Each
+    layer runs as ``_schedule`` says: its ``LAYER_RULES`` apply, a fused
+    kernel, or not at all, handing its input on.
     """
     _check_input(net, x.shape)
-    skipped, fused = set(), set()  # decided in this call, as the walk reaches them
+    steps = _scheduled(net, x.shape)
 
     def apply(layer_id, layer, rule, xs):
-        pair = _fusion(net, layer_id, xs[0].shape)
-        if pair is not None:
-            skipped.add(pair[0])
-            fused.add(pair[1])
-        if layer_id in skipped:
+        run = steps[layer_id].run
+        if run is None:
             return xs[0]
         buffers = FRESH if plan is None else plan.layer(layer_id)
-        run = _FUSED[layer.kind] if layer_id in fused else rule.apply
         return _apply_checked(layer_id, layer, run, xs, buffers)
 
     out = walk(net, x, apply)[-1]
@@ -461,44 +462,19 @@ class _Scratch:
             self.region = np.empty(self.need, np.uint8)
 
 
-class _PlannedBuffers(Buffers):
-    """One layer's buffers in a plan: its planned output, the shared scratch, no tape."""
-
-    def __init__(self, out: np.ndarray | None, scratch: _Scratch):
-        self.out = out  # None: the network output, handed to the caller
-        self._scratch = scratch
-
-    def output(self, shape) -> np.ndarray:
-        return np.empty(shape) if self.out is None else self.out
-
-    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
-        return self._scratch.take(shape, dtype)
-
-    def result(self, data, parents, backward_fn) -> Tensor:
-        return Tensor(data)
-
-
 class _Plan:
     """Where each layer of ``net`` writes at one input shape.
 
     Layer outputs live from their layer to their last consumer and are
-    packed into one region (``_pack``). A layer that ``_fusion`` skips has
-    no output of its own: its value is its input's, so its consumers
+    packed into one region (``_pack``). A layer that ``_schedule`` skips
+    has no output of its own: its value is its input's, so its consumers
     extend that input's lifetime. The value the net returns is not packed.
     Kernel temporaries share one ``_Scratch``.
     """
 
     def __init__(self, net: NetworkGraph, shape):
         self.shape = tuple(shape)
-        shapes = walk(net, self.shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
-        skipped = set()
-        owner = []  # the layer whose output holds each layer's value; -1 the input
-        for layer_id, layer in enumerate(net.layers):
-            src = layer.inputs[0]
-            pair = _fusion(net, layer_id, self.shape if src == -1 else shapes[src])
-            if pair is not None:
-                skipped.add(pair[0])
-            owner.append((-1 if src == -1 else owner[src]) if layer_id in skipped else layer_id)
+        shapes, _, owner = zip(*_scheduled(net, self.shape))
         last_use = list(range(len(shapes)))
         for layer_id, layer in enumerate(net.layers):
             for i in layer.inputs:
@@ -516,9 +492,9 @@ class _Plan:
             else np.empty(0)  # skipped: the layer writes nothing
             for i, (o, s, p) in enumerate(zip(offsets, shapes, planned))
         ]
-        self.buffers = [_PlannedBuffers(out, self.scratch) for out in outs]
+        self.buffers = [Untaped(out, self.scratch) for out in outs]
 
-    def layer(self, layer_id) -> _PlannedBuffers:
+    def layer(self, layer_id) -> Untaped:
         """The buffers of ``layer_id``, with the scratch region free again."""
         self.scratch.reset()
         return self.buffers[layer_id]

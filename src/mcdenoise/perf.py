@@ -173,6 +173,7 @@ class BenchRow:
 
 
 BENCH_CSV_HEADER = "module,median_ms,iqr_ms,repeats,workers"
+MIN_REPEATS = 10  # the fewest repeats ``bench_modules`` takes a median and IQR over
 
 
 def _time_alternating(fns, x, repeats, warmup=3):
@@ -203,8 +204,8 @@ def bench_modules(
 
     Each conv feeds an instance norm with its ReLU fused, as in the
     network, and the two modules' repeats alternate."""
-    if repeats < 10:
-        raise ContractError("bench_modules needs at least 10 repeats")
+    if repeats < MIN_REPEATS:
+        raise ContractError(f"bench_modules needs at least {MIN_REPEATS} repeats")
     extents = tuple(int(e) for e in extents)
     if any(e % 2 for e in extents):
         raise ContractError(f"extents must be even, got {extents}")

@@ -26,11 +26,11 @@ training step.
 
 Buffers: an op takes its output and temporary arrays from a ``Buffers``
 object and hands its result to ``Buffers.result``. The default, ``FRESH``,
-allocates every array and records the op on the tape; ``model.infer``
-passes views of a planned arena and records nothing; ``InPlace`` lets a
-kernel run another op's forward over its own result, unrecorded (the
-fused norm's ReLU). Each op's forward arithmetic is therefore written
-once and runs every way.
+allocates every array and records the op on the tape. ``Untaped``
+records nothing and writes where it is told: ``model.infer`` runs each
+layer in one over views of a planned arena, and a kernel runs another
+op's forward over its own result in one (the fused norm's ReLU). Each
+op's forward arithmetic is therefore written once and runs every way.
 
 What the tape keeps: a backward closure reads only its op's inputs, its
 output and per-channel statistics, never a kernel's temporary. What the
@@ -245,7 +245,7 @@ class Buffers:
     """Where an op's output and temporaries come from, and whether it records the tape.
 
     This default allocates each array fresh and records the op (see the
-    module docstring); ``model.infer`` overrides all three methods.
+    module docstring); ``Untaped`` records nothing.
     """
 
     def output(self, shape) -> np.ndarray:
@@ -262,15 +262,19 @@ class Buffers:
 FRESH = Buffers()
 
 
-class InPlace(Buffers):
-    """Writes an op's output over ``out`` and records nothing: how a kernel
-    runs another op's forward on its own result."""
+class Untaped(Buffers):
+    """Records nothing: the output is ``out`` and temporaries come from
+    ``scratch.take``, each fresh when None."""
 
-    def __init__(self, out: np.ndarray):
+    def __init__(self, out: np.ndarray | None = None, scratch=None):
         self.out = out
+        self.temps = scratch
 
     def output(self, shape) -> np.ndarray:
-        return self.out
+        return np.empty(shape) if self.out is None else self.out
+
+    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype) if self.temps is None else self.temps.take(shape, dtype)
 
     def result(self, data, parents, backward_fn) -> Tensor:
         return Tensor(data)

@@ -51,6 +51,8 @@ class TrainConfig:
         if not 0.0 < self.normalization_dose < math.inf:
             raise ConfigError(
                 f"normalization_dose must be positive and finite, got {self.normalization_dose}")
+        if not 0 <= self.seed < 2**64:  # checkpoints store it as u64
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def parse_extents(text: str) -> tuple[int, int, int]:

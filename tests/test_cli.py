@@ -399,3 +399,29 @@ def test_channel_and_depth_flags_are_usage_errors(tmp_path, command, flag, value
     assert flag in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("phantom", "--seed", -1),  # was exit 3 with numpy's message, leaving an empty directory
+    ("phantom", "--seed", 2**64),  # was a struct.error traceback (exit 1), leaving case_000/
+    ("phantom", "--histories", 2**64),
+    ("train", "--seed", -1),
+    ("train", "--seed", 2**64),  # trained every step, then failed to write the checkpoint
+    ("eval", "--seed", -1),
+    ("bench", "--seed", -1),
+    ("bench", "--seed", 2**64),
+    ("bench", "--repeats", 9),  # was exit 3 from bench_modules
+])
+def test_out_of_range_flags_are_usage_errors(tmp_path, command, flag, value):
+    inputs = {
+        "phantom": ["--cases", 1, "--extents", "16x16x8"],
+        "train": ["--data", tmp_path / "data", "--iterations", 1],
+        "eval": ["--checkpoint", tmp_path / "checkpoint.ddpk", "--data", tmp_path / "data"],
+        "bench": ["--extents", "8x8x8", "--channels", 2, "--repeats", 10],
+    }[command]
+    out = tmp_path / "out"
+    proc = run_cli(command, *inputs, flag, value, "--out", out, check=False)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -10,7 +10,7 @@ from mcdenoise import kernels as K
 from mcdenoise import model as M
 from mcdenoise import perf, training
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
-from mcdenoise.tensor import Tensor, backward
+from mcdenoise.tensor import Tensor, Untaped, backward
 
 from helpers import guard_build_network
 
@@ -143,10 +143,15 @@ def test_fused_norm_relu_is_bit_identical(build, cfg, monkeypatch):
 
     fused = run()
     assert relus["relu"] == 0
-    # the net as it ran before: every relu its own layer after its norm
-    only = M._only_consumer
-    monkeypatch.setattr(M, "_only_consumer",
-                        lambda net, i, kind: None if kind == "relu" else only(net, i, kind))
+    # the net as it ran before: every norm and relu its own layer
+    schedule = M._schedule
+
+    def unfused(net, shape):
+        return [step._replace(run=M.LAYER_RULES[layer.kind].apply, owner=i)
+                if layer.kind in ("inorm", "relu") else step
+                for i, (layer, step) in enumerate(zip(net.layers, schedule(net, shape)))]
+
+    monkeypatch.setattr(M, "_schedule", unfused)
     plain = run()
     assert relus["relu"] == 2 * sum(layer.kind == "relu" for layer in build(cfg).layers)
     assert len(fused) == len(plain)
@@ -227,14 +232,13 @@ def test_infer_is_forward_bit_for_bit(build, extents):
 
 def _coarse_first_convs(net, shape):
     """(upsample id, conv id, upsample input shape) of every conv ``forward`` runs coarse-first."""
-    shapes = M.walk(net, shape, lambda layer_id, layer, rule, ss: rule.shape(layer, ss))
+    steps = M._schedule(net, shape)
     found = []
-    for up, layer in enumerate(net.layers):
-        src = layer.inputs[0]
-        coarse = shape if src == -1 else shapes[src]
-        pair = M._fusion(net, up, coarse)
-        if layer.kind == "upsample" and pair is not None:
-            found.append((up, pair[1], coarse))
+    for conv, layer in enumerate(net.layers):
+        if layer.kind == "conv" and steps[conv].run is M._FUSED["conv"]:
+            up = layer.inputs[0]
+            src = net.layers[up].inputs[0]
+            found.append((up, conv, shape if src == -1 else steps[src].shape))
     return found
 
 
@@ -257,6 +261,7 @@ def test_infer_is_forward_bit_for_bit_through_kn2row(monkeypatch):
     assert np.array_equal(M.infer(net, x), want)
     assert (net.plan.scratch.region.ctypes.data, net.plan.scratch.region.nbytes) == arena
     monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
+    net.schedule = None
     direct = M.forward(net, Tensor(x)).data
     assert calls["up"] == 2
     assert np.max(np.abs(want - direct)) <= 1e-14 * np.max(np.abs(direct))
@@ -275,7 +280,7 @@ def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
 
     def scratch_need(run):
         scratch = M._Scratch()
-        run(M._PlannedBuffers(None, scratch))
+        run(Untaped(scratch=scratch))
         return scratch.need
 
     for _, conv, shape in coarse:
@@ -289,7 +294,7 @@ def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
     got = M.infer(net, x)
     arena = (net.plan.region.nbytes, net.plan.scratch.region.nbytes)
     monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
-    net.plan = None
+    net.plan = net.schedule = None
     want = M.infer(net, x)
     assert arena[0] < net.plan.region.nbytes  # the skipped upsamples' outputs take no arena
     assert arena[1] <= net.plan.scratch.region.nbytes
@@ -319,8 +324,10 @@ def test_coarse_first_rule_pins(name, cfg, pinned):
     net = M.build_network(name, cfg, seed=0)
     coarse = _coarse_first_convs(net, (1, 1) + cfg.input_extents)
     assert [(net.layers[c].spec.c_in, net.layers[c].spec.c_out, s[2:]) for _, c, s in coarse] == pinned
-    # a skipped upsample feeds only its conv, the next layer
-    assert all(conv == up + 1 for up, conv, _ in coarse)
+    # a skipped upsample feeds only its conv
+    for up, conv, _ in coarse:
+        assert net.layers[up].kind == "upsample"
+        assert [i for i, layer in enumerate(net.layers) if up in layer.inputs] == [conv]
 
 
 def test_infer_replans_on_a_new_shape():
@@ -330,6 +337,19 @@ def test_infer_replans_on_a_new_shape():
         x = rng.normal(size=(1, 1) + extents)
         assert np.array_equal(M.infer(net, x), M.forward(net, Tensor(x)).data)
         assert net.plan.shape == x.shape
+
+
+def test_schedule_is_walked_once_per_input_shape(monkeypatch):
+    shapes = []
+    schedule = M._schedule
+    monkeypatch.setattr(M, "_schedule", lambda net, shape: shapes.append(shape) or schedule(net, shape))
+    net = M.build_proposed(DESK, seed=8)
+    rng = np.random.default_rng(14)
+    for extents in [(32, 32, 16)] * 3 + [(16, 32, 16)] * 2:
+        x = rng.normal(size=(1, 1) + extents)
+        M.forward(net, Tensor(x))
+        M.infer(net, x)
+    assert shapes == [(1, 1, 32, 32, 16), (1, 1, 16, 32, 16)]
 
 
 def test_infer_reuses_its_arena():

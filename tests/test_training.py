@@ -152,6 +152,9 @@ def test_train_config_validation():
         TR.TrainConfig(beta1=1.0)
     with pytest.raises(ConfigError):
         TR.TrainConfig(crop_extents=(0, 4, 4))
+    for seed in (-1, 2**64):  # checkpoints store the seed as u64
+        with pytest.raises(ConfigError):
+            TR.TrainConfig(seed=seed)
 
 
 def test_train_config_file_roundtrip(tmp_path):
