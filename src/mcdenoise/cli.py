@@ -3,8 +3,11 @@
 Subcommands: phantom (synthetic dataset generation), train (noise-to-noise
 training), denoise (run a checkpoint over one volume), eval (metrics over
 freshly drawn noise realizations), analyze (analytic FLOPs/parameters),
-bench (module wall-time comparison). Every command materializes its
-resolved configuration into a run manifest under --out. Exit codes: 0 ok,
+bench (module wall-time comparison). A command given --out loads and
+checks its inputs before it makes the directory, and ends by writing a
+run manifest there (``volio.write_kv``): the run context (command, tool
+version, wall time, numpy version, BLAS threads), then its parsed
+arguments, overridden by what it resolved from them. Exit codes: 0 ok,
 2 usage, 3 data or format error, 4 numeric error.
 """
 
@@ -13,11 +16,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__, metrics, perf, phantom, volio
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .model import (
     PAPER_PROPOSED_CONFIG,
     PAPER_UNET_CONFIG,
@@ -30,12 +34,12 @@ from .model import (
 )
 from .training import (
     TrainConfig,
+    check_crop,
     denoise_volume,
     parse_extents,
     parse_train_config,
     train,
 )
-from dataclasses import replace
 
 DOSE_WINDOW_GY = (0.0, 80.0)
 DIFF_WINDOW_GY = (-8.0, 8.0)
@@ -48,41 +52,18 @@ EXIT_NUMERIC = 4
 DESK_NUM_DOWN = 3  # train's default --down
 
 
-def _write_manifest(out_dir, command, resolved: dict, started: float):
-    lines = [
-        f"command={command}",
-        f"tool_version={__version__}",
-        f"wall_time_s={time.time() - started:.3f}",
-    ]
-    lines += [f"{key}={value}" for key, value in sorted(resolved.items())]
-    path = os.path.join(out_dir, "run_manifest.txt")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def _denoise_run_entries(denoise_s: list[float]) -> dict:
-    """Manifest entries of a run that denoises: numpy version, BLAS threads in
-    effect, and the mean wall time of one ``denoise_volume`` call."""
-    threads = perf.blas_threads()
-    return {
+def _write_manifest(out_dir, args, started: float, **resolved):
+    """Write ``run_manifest.txt``: the run context, then ``vars(args)``
+    overridden by ``resolved``."""
+    context = {
+        "command": args.command,
+        "tool_version": __version__,
+        "wall_time_s": f"{time.time() - started:.3f}",
         "numpy_version": np.__version__,
-        "blas_threads": "" if threads is None else threads,
-        "denoise_ms_mean": f"{1e3 * sum(denoise_s) / len(denoise_s):.3f}" if denoise_s else "",
+        "blas_threads": perf.blas_threads(),
     }
-
-
-def read_manifest(path) -> dict:
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, value = line.split("=", 1)
-                entries[key] = value
-    return entries
+    parsed = {key: value for key, value in vars(args).items() if key != "func"}
+    volio.write_kv(os.path.join(out_dir, "run_manifest.txt"), context | parsed | resolved)
 
 
 def _ensure_out(path):
@@ -99,70 +80,48 @@ def cmd_phantom(args) -> int:
         # training draws input/target pairs from consecutive realizations
         print(f"error: --pairs must be even and at least 2, got {args.pairs}", file=sys.stderr)
         return EXIT_USAGE
-    extents = parse_extents(args.extents)
     try:
-        check_divisible(PROPOSED, DESK_NUM_DOWN, extents, ConfigError)
+        check_divisible(PROPOSED, DESK_NUM_DOWN, args.extents, ConfigError)
     except ConfigError as exc:
         print(f"warning: {exc}; train rejects these extents at its default --down "
               f"{DESK_NUM_DOWN}", file=sys.stderr)
-    out = _ensure_out(args.out)
+    # makes --out once the first case's volume exists
     phantom.generate_dataset(
-        out,
-        extents,
+        args.out,
+        args.extents,
         n_cases=args.cases,
         histories=args.histories,
         pairs_per_case=args.pairs,
         seed=args.seed,
     )
-    _write_manifest(
-        out,
-        "phantom",
-        {
-            "cases": args.cases,
-            "pairs": args.pairs,
-            "histories": args.histories,
-            "extents": args.extents,
-            "seed": args.seed,
-            "out": out,
-        },
-        started,
-    )
-    print(f"wrote {args.cases} cases ({args.pairs} noisy realizations each) to {out}")
+    _write_manifest(args.out, args, started)
+    print(f"wrote {args.cases} cases ({args.pairs} noisy realizations each) to {args.out}")
     return EXIT_OK
 
 
 # -- train ----------------------------------------------------------------------
 
 
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+
+
 def _train_config_from_args(args) -> TrainConfig:
-    cfg = TrainConfig()
-    if args.config:
-        cfg = parse_train_config(args.config, cfg)
-    overrides = {}
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.lr is not None:
-        overrides["lr"] = args.lr
-    if args.crop is not None:
-        overrides["crop_extents"] = parse_extents(args.crop)
-    if args.pad is not None:
-        overrides["pad"] = args.pad
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.normalization_dose is not None:
-        overrides["normalization_dose"] = args.normalization_dose
-    if args.no_swap:
-        overrides["swap_input_target"] = False
-    return replace(cfg, **overrides)
+    """The --config file's TrainConfig (or the default), then every flag given;
+    train's flags carry their TrainConfig field names as ``dest``."""
+    cfg = parse_train_config(args.config) if args.config else TrainConfig()
+    return replace(cfg, **{key: value for key, value in vars(args).items()
+                           if key in _TRAIN_FIELDS and value is not None})
 
 
 def cmd_train(args) -> int:
     started = time.time()
     cfg = _train_config_from_args(args)
-    out = _ensure_out(args.out)
     pairs = phantom.load_dataset_pairs(args.data)
+    for pair in pairs:
+        check_crop(pair.input.extents, cfg)
     net_cfg = ScaledConfig(args.features, args.down, cfg.crop_extents)
     net = build_network(args.model, net_cfg, seed=cfg.seed)
+    out = _ensure_out(args.out)
     checkpoint = os.path.join(out, "checkpoint.ddpk")
     loss_log = os.path.join(out, "loss.csv")
 
@@ -171,30 +130,7 @@ def cmd_train(args) -> int:
             print(f"step {step}: loss {value:.6g}")
 
     train(net, pairs, cfg, log_path=loss_log, checkpoint_path=checkpoint, progress=progress)
-    _write_manifest(
-        out,
-        "train",
-        {
-            "data": args.data,
-            "out": out,
-            "model": args.model,
-            "features": args.features,
-            "down": args.down,
-            "iterations": cfg.iterations,
-            "lr": cfg.lr,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "adam_eps": cfg.adam_eps,
-            "crop": "x".join(str(c) for c in cfg.crop_extents),
-            "pad": cfg.pad,
-            "normalization_dose": cfg.normalization_dose,
-            "swap_input_target": cfg.swap_input_target,
-            "seed": cfg.seed,
-            "checkpoint": checkpoint,
-            "loss_log": loss_log,
-        },
-        started,
-    )
+    _write_manifest(out, args, started, **asdict(cfg), checkpoint=checkpoint, loss_log=loss_log)
     print(f"checkpoint written to {checkpoint}")
     return EXIT_OK
 
@@ -204,29 +140,18 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     started = time.time()
-    out = _ensure_out(args.out)
     net = load_checkpoint(args.checkpoint)
     values, voxel_size, histories, seed = volio.read_dvol(args.input)
+    check_divisible(net.name, net.cfg.num_down, values.shape, ShapeError)
+    out = _ensure_out(args.out)
     start = time.perf_counter()
     denoised = denoise_volume(net, values, args.normalization_dose)
-    denoise_s = [time.perf_counter() - start]
+    denoise_ms = 1e3 * (time.perf_counter() - start)
     out_path = os.path.join(out, "denoised.dvol")
     volio.write_dvol(out_path, denoised, voxel_size, histories, seed)
     volio.export_middle_slices(denoised, out, "denoised", DOSE_WINDOW_GY)
     volio.export_middle_slices(values, out, "input", DOSE_WINDOW_GY)
-    _write_manifest(
-        out,
-        "denoise",
-        {
-            "checkpoint": args.checkpoint,
-            "input": args.input,
-            "normalization_dose": args.normalization_dose,
-            "out": out,
-            "output": out_path,
-        }
-        | _denoise_run_entries(denoise_s),
-        started,
-    )
+    _write_manifest(out, args, started, output=out_path, denoise_ms_mean=f"{denoise_ms:.3f}")
     print(f"denoised volume written to {out_path}")
     return EXIT_OK
 
@@ -241,13 +166,15 @@ def _eval_csv_header() -> str:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    out = _ensure_out(args.out)
     net = load_checkpoint(args.checkpoint)
+    cases = [phantom.load_case(case_dir) for case_dir in phantom.list_case_dirs(args.data)]
+    for case in cases:
+        check_divisible(net.name, net.cfg.num_down, case.clean.extents, ShapeError)
+    out = _ensure_out(args.out)
     rows = []
     denoise_s = []
     reports: dict[str, list[metrics.MetricsReport]] = {"noisy": [], "denoised": []}
-    for case_dir in phantom.list_case_dirs(args.data):
-        case = phantom.load_case(case_dir)
+    for case in cases:
         for r in range(args.realizations):
             nseed = phantom.realization_seed(args.seed ^ hash_case(case.case_id), r)
             noisy = phantom.add_quantum_noise(case.clean, args.histories, nseed)
@@ -282,22 +209,8 @@ def cmd_eval(args) -> int:
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write(table)
     print(table, end="")
-    _write_manifest(
-        out,
-        "eval",
-        {
-            "checkpoint": args.checkpoint,
-            "data": args.data,
-            "realizations": args.realizations,
-            "histories": args.histories,
-            "seed": args.seed,
-            "normalization_dose": args.normalization_dose,
-            "out": out,
-            "metrics_csv": csv_path,
-        }
-        | _denoise_run_entries(denoise_s),
-        started,
-    )
+    _write_manifest(out, args, started, metrics_csv=csv_path,
+                    denoise_ms_mean=f"{1e3 * sum(denoise_s) / len(denoise_s):.3f}")
     return EXIT_OK
 
 
@@ -314,12 +227,11 @@ def hash_case(case_id: str) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.time()
-    extents = parse_extents(args.extents)
     paper = PAPER_PROPOSED_CONFIG if args.model == PROPOSED else PAPER_UNET_CONFIG
     down = paper.num_down if args.down is None else args.down
-    cfg = ScaledConfig(args.features, down, extents)
+    cfg = ScaledConfig(args.features, down, args.extents)
     net = build_network(args.model, cfg, seed=0)
-    report = perf.count_flops(net, extents)
+    report = perf.count_flops(net, args.extents)
     print(report.table(), end="")
     if args.out:
         out = _ensure_out(args.out)
@@ -327,18 +239,7 @@ def cmd_analyze(args) -> int:
             fh.write("\n".join(report.csv_lines()) + "\n")
         with open(os.path.join(out, "flops.txt"), "w") as fh:
             fh.write(report.table())
-        _write_manifest(
-            out,
-            "analyze",
-            {
-                "model": args.model,
-                "features": args.features,
-                "down": down,
-                "extents": args.extents,
-                "out": out,
-            },
-            started,
-        )
+        _write_manifest(out, args, started, down=down)
     return EXIT_OK
 
 
@@ -347,8 +248,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.time()
-    extents = parse_extents(args.extents)
-    rows = perf.bench_modules(extents, channels=args.channels, repeats=args.repeats, seed=args.seed)
+    rows = perf.bench_modules(args.extents, channels=args.channels, repeats=args.repeats, seed=args.seed)
     print(perf.BENCH_CSV_HEADER)
     for row in rows:
         print(row.csv())
@@ -363,19 +263,7 @@ def cmd_bench(args) -> int:
             fh.write(perf.BENCH_CSV_HEADER + "\n")
             for row in rows:
                 fh.write(row.csv() + "\n")
-        _write_manifest(
-            out,
-            "bench",
-            {
-                "extents": args.extents,
-                "channels": args.channels,
-                "repeats": args.repeats,
-                "blas_threads": "" if rows[0].workers is None else rows[0].workers,
-                "seed": args.seed,
-                "out": out,
-            },
-            started,
-        )
+        _write_manifest(out, args, started)
     return EXIT_OK
 
 
@@ -404,6 +292,14 @@ _histories = _int_flag(1, 2**64)  # stored as u64 in volume headers
 _repeats = _int_flag(perf.MIN_REPEATS)
 
 
+def _extents(text: str) -> tuple[int, int, int]:
+    """An HxWxD flag; argparse reports malformed text as a usage error."""
+    try:
+        return parse_extents(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_dose(text: str) -> float:
     """A dose flag that volumes are divided by: positive and finite."""
     try:
@@ -419,8 +315,10 @@ _FORMATS_EPILOG = (
     "file formats: DVOL dose volumes and DMSK masks are little-endian binaries "
     "(magic, u32 version, u32 HxWxD extents, f32 voxel sizes in mm, u64 histories, "
     "u64 seed, then f32 values row-major); DDPK checkpoints hold the network tag, "
-    "base features, depth, seed, and per-layer f64 weights; CSV outputs carry a "
-    "header row; slice images are binary 8-bit PGM."
+    "base features, depth, seed, and per-layer f64 weights; run manifests, case "
+    "manifests and --config files are UTF-8 key=value lines (blank lines and # "
+    "comments skipped, a repeated key rejected, written atomically); CSV outputs "
+    "carry a header row; slice images are binary 8-bit PGM."
 )
 
 
@@ -441,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=_positive_int, default=8, help="number of randomized cases")
     p.add_argument("--pairs", type=int, default=2, help="noisy realizations per case; even and >= 2, since training pairs them")
     p.add_argument("--histories", type=_histories, default=2, help="simulated history count (low counts mean strong noise)")
-    p.add_argument("--extents", default="32x32x16", help="grid extents HxWxD")
+    p.add_argument("--extents", type=_extents, default="32x32x16", help="grid extents HxWxD")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_phantom)
@@ -456,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value TrainConfig file; flags win")
     p.add_argument("--iterations", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--crop", help="training crop extents HxWxD")
+    p.add_argument("--crop", type=_extents, dest="crop_extents", help="training crop extents HxWxD")
     p.add_argument("--pad", type=int)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--normalization-dose", type=_positive_dose, dest="normalization_dose")
-    p.add_argument("--no-swap", action="store_true", help="disable input/target swapping")
+    p.add_argument("--no-swap", action="store_false", dest="swap_input_target", default=None,
+                   help="disable input/target swapping")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("denoise", help="apply a checkpoint to one DVOL volume",
@@ -487,13 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[PROPOSED, UNET_BASELINE], default=PROPOSED)
     p.add_argument("--features", type=_positive_int, default=64)
     p.add_argument("--down", type=_positive_int, default=None, help="defaults to the paper depth of --model")
-    p.add_argument("--extents", default="256x256x64")
+    p.add_argument("--extents", type=_extents, default="256x256x64")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("bench", help="wall-time comparison of module variants",
                        epilog=_FORMATS_EPILOG)
-    p.add_argument("--extents", default="32x32x16")
+    p.add_argument("--extents", type=_extents, default="32x32x16")
     p.add_argument("--channels", type=_positive_int, default=64)
     p.add_argument("--repeats", type=_repeats, default=100)
     p.add_argument("--seed", type=_seed, default=0)

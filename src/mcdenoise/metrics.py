@@ -45,27 +45,27 @@ class DVHCurve:
 
     edges: np.ndarray  # left bin edges, uniform width
     values: np.ndarray  # fraction of structure voxels with dose >= edge
-    structure: str = ""
 
     @property
     def bin_width(self) -> float:
         return float(self.edges[1] - self.edges[0])
 
 
-def dvh(volume, mask, bins: int = DVH_BINS, max_dose: float = DVH_MAX_DOSE, structure: str = "") -> DVHCurve:
+def dvh(volume, mask, bins: int = DVH_BINS) -> DVHCurve:
+    """Cumulative DVH of the masked voxels over ``bins`` bins of [0, DVH_MAX_DOSE]."""
     values = _as_values(volume)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ContractError(f"dvh: mask extent mismatch {mask.shape} vs {values.shape}")
     if not mask.any():
         raise ContractError("dvh: empty structure mask")
-    if bins < 1 or max_dose <= 0.0:
-        raise ContractError("dvh: bins must be >= 1 and max_dose positive")
+    if bins < 1:
+        raise ContractError("dvh: bins must be >= 1")
     doses = np.sort(values[mask])
     n = doses.size
-    edges = np.arange(bins) * (max_dose / bins)
+    edges = np.arange(bins) * (DVH_MAX_DOSE / bins)
     at_or_above = n - np.searchsorted(doses, edges, side="left")
-    return DVHCurve(edges, at_or_above / n, structure)
+    return DVHCurve(edges, at_or_above / n)
 
 
 def dvh_error(a: DVHCurve, b: DVHCurve) -> float:
@@ -166,9 +166,7 @@ def evaluate(denoised, ground_truth, ptv_mask, body_mask) -> MetricsReport:
 
     errors = {}
     for structure, mask in (("ptv", ptv_mask), ("body", body_mask)):
-        errors[structure] = dvh_error(
-            dvh(dn, mask, structure=structure), dvh(gn, mask, structure=structure)
-        )
+        errors[structure] = dvh_error(dvh(dn, mask), dvh(gn, mask))
     dice = {level: isodose_dice(dn, gn, level, 1.0) for level in ISODOSE_LEVELS}
     return MetricsReport(
         mse=mse(dn, gn),

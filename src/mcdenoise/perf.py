@@ -176,13 +176,14 @@ BENCH_CSV_HEADER = "module,median_ms,iqr_ms,repeats,workers"
 MIN_REPEATS = 10  # the fewest repeats ``bench_modules`` takes a median and IQR over
 
 
-def _time_alternating(fns, x, repeats, warmup=3):
-    """ms per call of each of ``fns`` on ``x``, one call of each per repeat.
+def _time_alternating(fns, x, repeats):
+    """ms per call of each of ``fns`` on ``x``, one call of each per repeat,
+    after three untimed calls of each.
 
     The order reverses every repeat, so drift in the machine's speed and
     the cache state one call leaves the next fall on every function alike.
     """
-    for _ in range(warmup):
+    for _ in range(3):
         for fn in fns:
             fn(x)
     samples = np.empty((len(fns), repeats))

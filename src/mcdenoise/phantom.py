@@ -19,6 +19,7 @@ from . import volio
 
 DEFAULT_VOXEL_MM = (2.34, 2.34, 3.0)
 DEFAULT_PRESCRIPTION_GY = 80.0
+N_BEAMS = 3
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,9 @@ def generate_clean(spec: PhantomSpec) -> DoseVolume:
     return DoseVolume(dose, spec.voxel_size_mm, histories=0, seed=spec.seed)
 
 
-def add_quantum_noise(
-    clean: DoseVolume,
-    histories: int,
-    seed: int,
-    ref_dose_gy: float = DEFAULT_PRESCRIPTION_GY,
-    alpha: float = 1.0,
-) -> DoseVolume:
-    """Independent per-voxel Gaussian noise, std = alpha * sqrt(dose * ref / histories).
+def add_quantum_noise(clean: DoseVolume, histories: int, seed: int) -> DoseVolume:
+    """Independent per-voxel Gaussian noise, std = sqrt(dose * 80 Gy / histories),
+    80 Gy being the prescription.
 
     Doubling the history count halves the variance; voxels with zero dose
     (everything outside the body) stay exactly zero.
@@ -154,7 +150,7 @@ def add_quantum_noise(
         raise ContractError(f"histories must be >= 1, got {histories}")
     rng = np.random.default_rng(int(seed))
     x = clean.values
-    std = alpha * np.sqrt(np.clip(x, 0.0, None) * ref_dose_gy / histories)
+    std = np.sqrt(np.clip(x, 0.0, None) * DEFAULT_PRESCRIPTION_GY / histories)
     noisy = x + rng.standard_normal(x.shape) * std
     return DoseVolume(noisy, clean.voxel_size_mm, histories=histories, seed=int(seed))
 
@@ -162,17 +158,11 @@ def add_quantum_noise(
 # -- randomized cases and the on-disk dataset -----------------------------------
 
 
-def default_spec(
-    extents,
-    seed: int = 0,
-    voxel_size_mm=DEFAULT_VOXEL_MM,
-    n_beams: int = 3,
-    prescription_gy: float = DEFAULT_PRESCRIPTION_GY,
-) -> PhantomSpec:
+def default_spec(extents, seed: int = 0) -> PhantomSpec:
     """A randomized three-beam case: jittered target, random gantry angles."""
     extents = tuple(int(e) for e in extents)
     rng = np.random.default_rng(int(seed))
-    size_mm = np.array(extents) * np.array(voxel_size_mm)
+    size_mm = np.array(extents) * np.array(DEFAULT_VOXEL_MM)
     body_center = tuple((e - 1) / 2.0 for e in extents)
     body_axes = tuple(0.42 * s for s in size_mm)
 
@@ -180,11 +170,11 @@ def default_spec(
     ptv_center = tuple(np.array(body_center) + jitter)
     ptv_radius = 0.16 * float(size_mm.min())
 
-    ptv_mm = (np.array(ptv_center) + 0.5) * np.array(voxel_size_mm)
+    ptv_mm = (np.array(ptv_center) + 0.5) * np.array(DEFAULT_VOXEL_MM)
     beams = []
     base_angle = rng.uniform(0.0, 2.0 * np.pi)
-    for k in range(n_beams):
-        angle = base_angle + 2.0 * np.pi * k / max(n_beams, 1)
+    for k in range(N_BEAMS):
+        angle = base_angle + 2.0 * np.pi * k / N_BEAMS
         # gantry rotates in the axial (H, W) plane around the target
         radial = np.array([np.cos(angle), np.sin(angle), 0.0])
         entry = ptv_mm - radial * float(size_mm[:2].max())
@@ -205,8 +195,6 @@ def default_spec(
         ptv_radius_mm=ptv_radius,
         body_center_vox=body_center,
         body_semi_axes_mm=body_axes,
-        voxel_size_mm=tuple(voxel_size_mm),
-        prescription_gy=prescription_gy,
         seed=int(seed),
     )
 
@@ -231,13 +219,6 @@ class CaseFiles:
     body: np.ndarray
 
 
-def _write_case_manifest(case_dir, clean_name, mask_names, noisy_names):
-    lines = [f"clean={clean_name}", f"ptv_mask={mask_names[0]}", f"body_mask={mask_names[1]}"]
-    lines += [f"noisy_{i}={name}" for i, name in enumerate(noisy_names)]
-    with open(os.path.join(case_dir, MANIFEST_NAME), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def generate_dataset(
     out_dir,
     extents,
@@ -245,23 +226,23 @@ def generate_dataset(
     histories: int,
     pairs_per_case: int = 2,
     seed: int = 0,
-    voxel_size_mm=DEFAULT_VOXEL_MM,
 ) -> list[NoisePair]:
     """Write ``n_cases`` randomized cases to disk and return the training pairs.
 
     Each case directory holds the clean DVOL, ``pairs_per_case`` noisy
     DVOL realizations, the target/body DMSK masks, and a manifest listing
-    them. Noise pairs are formed from consecutive realizations.
+    them. Noise pairs are formed from consecutive realizations. ``out_dir``
+    is made once the first case's clean volume exists, so a spec that
+    fails leaves no empty directory.
     """
     if n_cases < 1:
         raise ContractError("n_cases must be >= 1")
     if pairs_per_case < 1:
         raise ContractError("pairs_per_case must be >= 1")
-    os.makedirs(out_dir, exist_ok=True)
     pairs = []
     for case in range(n_cases):
         cseed = case_seed(seed, case)
-        spec = default_spec(extents, seed=cseed, voxel_size_mm=voxel_size_mm)
+        spec = default_spec(extents, seed=cseed)
         clean = generate_clean(spec)
         case_id = f"case_{case:03d}"
         case_dir = os.path.join(out_dir, case_id)
@@ -273,18 +254,18 @@ def generate_dataset(
         volio.write_dmsk(os.path.join(case_dir, "ptv.dmsk"), ptv_mask(spec), spec.voxel_size_mm)
         volio.write_dmsk(os.path.join(case_dir, "body.dmsk"), body_mask(spec), spec.voxel_size_mm)
 
-        noisy_names = []
+        manifest = {"clean": "clean.dvol", "ptv_mask": "ptv.dmsk", "body_mask": "body.dmsk"}
         noisy_volumes = []
         for r in range(pairs_per_case):
             nseed = realization_seed(cseed, r)
-            noisy = add_quantum_noise(clean, histories, nseed, ref_dose_gy=spec.prescription_gy)
+            noisy = add_quantum_noise(clean, histories, nseed)
             name = f"noisy_{r:02d}.dvol"
             volio.write_dvol(
                 os.path.join(case_dir, name), noisy.values, noisy.voxel_size_mm, histories, nseed
             )
-            noisy_names.append(name)
+            manifest[f"noisy_{r}"] = name
             noisy_volumes.append(noisy)
-        _write_case_manifest(case_dir, "clean.dvol", ("ptv.dmsk", "body.dmsk"), noisy_names)
+        volio.write_kv(os.path.join(case_dir, MANIFEST_NAME), manifest)
 
         for a in range(0, pairs_per_case - 1, 2):
             pairs.append(NoisePair(noisy_volumes[a], noisy_volumes[a + 1], case_id))
@@ -293,32 +274,28 @@ def generate_dataset(
 
 def load_case(case_dir) -> CaseFiles:
     manifest = os.path.join(case_dir, MANIFEST_NAME)
-    entries = {}
-    with open(manifest) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{manifest}: bad manifest line {line!r}")
-            key, value = line.split("=", 1)
-            entries[key] = value
+    entries = volio.read_kv(manifest)
     for key in ("clean", "ptv_mask", "body_mask"):
         if key not in entries:
             raise FormatError(f"{manifest}: missing key {key!r}")
 
-    def vol(name):
-        values, voxel_size, histories, seed = volio.read_dvol(os.path.join(case_dir, name))
-        return DoseVolume(values, voxel_size, histories, seed)
+    def path(key):
+        name = os.path.join(case_dir, entries[key])
+        if not os.path.isfile(name):  # an empty value names the case directory
+            raise FormatError(f"{manifest}: {key}={entries[key]!r} names no file")
+        return name
 
-    clean = vol(entries["clean"])
-    ptv, _ = volio.read_dmsk(os.path.join(case_dir, entries["ptv_mask"]))
-    body, _ = volio.read_dmsk(os.path.join(case_dir, entries["body_mask"]))
+    def vol(key):
+        return DoseVolume(*volio.read_dvol(path(key)))
+
+    clean = vol("clean")
+    ptv, _ = volio.read_dmsk(path("ptv_mask"))
+    body, _ = volio.read_dmsk(path("body_mask"))
     noisy = []
-    index = 0
-    while f"noisy_{index}" in entries:
-        noisy.append(vol(entries[f"noisy_{index}"]))
-        index += 1
+    while f"noisy_{len(noisy)}" in entries:
+        noisy.append(vol(f"noisy_{len(noisy)}"))
+    if any(a.shape != clean.extents for a in [ptv, body] + [n.values for n in noisy]):
+        raise FormatError(f"{manifest}: the case's volumes and masks differ in extents")
     return CaseFiles(os.path.basename(os.path.normpath(case_dir)), clean, noisy, ptv, body)
 
 

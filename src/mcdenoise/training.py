@@ -9,10 +9,11 @@ solvable scalar model.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import volio
 from .errors import ConfigError, ContractError, NumericError
 from .model import NetworkGraph, forward, infer, save_checkpoint
 from .phantom import NoisePair
@@ -71,43 +72,33 @@ def parse_extents(text: str) -> tuple[int, int, int]:
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def parse_train_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    """Read a key=value file holding TrainConfig fields; unknown keys are errors."""
-    cfg = base or TrainConfig()
-    known = {f.name: f.type for f in fields(TrainConfig)}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected one of {sorted(_BOOL_WORDS)}, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+# TrainConfig's field types, each with the parser of its text
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[int, int, int]: parse_extents}
+
+
+def parse_train_config(path) -> TrainConfig:
+    """Read a key=value file (``volio.read_kv``) holding TrainConfig fields;
+    an unknown key or a value that does not parse is a ``ConfigError``."""
+    types = {f.name: f.type for f in fields(TrainConfig)}
     updates = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "crop_extents":
-                updates[key] = parse_extents(value)
-            elif key == "swap_input_target":
-                if value.lower() not in _BOOL_WORDS:
-                    raise ConfigError(f"{path}:{lineno}: bad boolean {value!r}")
-                updates[key] = _BOOL_WORDS[value.lower()]
-            elif key in ("iterations", "pad", "seed"):
-                updates[key] = int(value)
-            else:
-                updates[key] = float(value)
-    return replace(cfg, **updates)
+    for key, text in volio.read_kv(path).items():
+        if key not in types:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        try:
+            updates[key] = _PARSERS[types[key]](text)
+        except ValueError as exc:  # ConfigError from parse_extents too
+            raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
+    return TrainConfig(**updates)
 
 
 def write_train_config(cfg: TrainConfig, path):
-    lines = []
-    for f in fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "crop_extents":
-            value = "x".join(str(v) for v in value)
-        lines.append(f"{f.name}={value}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    volio.write_kv(path, asdict(cfg))
 
 
 # -- loss and optimizer ----------------------------------------------------------
@@ -159,6 +150,16 @@ def effective_pads(extents, pad: int) -> tuple[int, ...]:
     return tuple(min(pad, e // 4) for e in extents)
 
 
+def check_crop(extents, cfg: TrainConfig):
+    """The effective pads and padded extents of a volume of ``extents``;
+    a ``ConfigError`` when ``cfg.crop_extents`` does not fit the padded volume."""
+    pads = effective_pads(extents, cfg.pad)
+    padded_extents = tuple(e + 2 * p for e, p in zip(extents, pads))
+    if any(c > pe for c, pe in zip(cfg.crop_extents, padded_extents)):
+        raise ConfigError(f"crop {cfg.crop_extents} larger than padded volume {padded_extents}")
+    return pads, padded_extents
+
+
 def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     """Normalize, pad, apply one shared random crop, and maybe swap roles.
 
@@ -170,13 +171,8 @@ def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     a, b = pair.input.values, pair.target.values
     if a.shape != b.shape:
         raise ContractError(f"preprocess: pair extents differ, {a.shape} vs {b.shape}")
-    pads = effective_pads(a.shape, cfg.pad)
-    padded_extents = tuple(e + 2 * p for e, p in zip(a.shape, pads))
+    pads, padded_extents = check_crop(a.shape, cfg)
     crop = cfg.crop_extents
-    if any(c > pe for c, pe in zip(crop, padded_extents)):
-        raise ConfigError(
-            f"crop {crop} larger than padded volume {padded_extents}"
-        )
     offsets = tuple(int(rng.integers(0, pe - c + 1)) for pe, c in zip(padded_extents, crop))
 
     pad_width = [(p, p) for p in pads]

@@ -1,9 +1,15 @@
-"""Binary file formats: DVOL dose volumes, DMSK masks, PGM slice images.
+"""File formats: DVOL dose volumes, DMSK masks, PGM slice images, and the
+``key=value`` text of run manifests, case manifests and train configs.
 
 DVOL layout (little-endian): magic ``DVOL``, u32 version=1, u32 H, u32 W,
 u32 D, three f32 voxel sizes in mm, u64 histories (0 means clean), u64
 seed, then H*W*D f32 values row-major (depth fastest). DMSK is identical
 except for the magic and values restricted to {0, 1}.
+
+Key=value text is UTF-8, one ``key=value`` line per entry in the order
+written; readers skip blank lines and ``#`` comments and reject a repeated
+key. Writes go to a temporary file that is renamed into place, so a reader
+never sees half a file.
 """
 
 import os
@@ -80,6 +86,59 @@ def read_dmsk(path):
     if not np.all((values == 0.0) | (values == 1.0)):
         raise FormatError(f"{path}: mask values outside {{0, 1}}")
     return values.astype(bool), voxel_size
+
+
+# -- key=value text -------------------------------------------------------------
+
+
+def _kv_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return "x".join(str(v) for v in value)
+    return str(value)
+
+
+def write_kv(path, entries):
+    """Write ``entries`` (a mapping) as ``key=value`` lines in their order,
+    atomically. None is written empty and a tuple as ``HxWxD``."""
+    lines = []
+    for key, value in entries.items():
+        text = _kv_text(value)
+        if not key or "=" in key or key.startswith("#") or "\n" in key + text:
+            raise FormatError(f"{path}: cannot write {key!r}={text!r} as one key=value line")
+        lines.append(f"{key}={text}\n")
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    os.replace(tmp, path)
+
+
+def read_kv(path) -> dict[str, str]:
+    """The ``key=value`` lines of a text file, keys and values stripped.
+
+    Undecodable bytes, a line with no ``=`` or no key, and a repeated key are
+    each a ``FormatError`` naming the path and line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
+    entries = {}
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or not key:
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key in entries:
+            raise FormatError(f"{path}:{lineno}: repeated key {key!r}")
+        entries[key] = value
+    return entries
 
 
 # -- PGM slice export ----------------------------------------------------------

@@ -3,13 +3,16 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mcdenoise import volio
-from mcdenoise.cli import main, read_manifest
+from mcdenoise.cli import main
 from mcdenoise.model import ScaledConfig, build_proposed, save_checkpoint
+from mcdenoise.training import TrainConfig
+from mcdenoise.volio import read_kv
 
 from helpers import guard_build_network
 
@@ -50,10 +53,11 @@ def test_phantom_counts_and_manifest(tmp_path):
     case_files = sorted(os.listdir(out / "case_000"))
     assert case_files == ["body.dmsk", "clean.dvol", "manifest.txt",
                           "noisy_00.dvol", "noisy_01.dvol", "ptv.dmsk"]
-    manifest = read_manifest(out / "run_manifest.txt")
+    manifest = read_kv(out / "run_manifest.txt")
     assert manifest["command"] == "phantom"
     assert manifest["seed"] == "7"
     assert "wall_time_s" in manifest
+    assert_run_context(manifest)
 
 
 def test_phantom_deterministic(tmp_path):
@@ -89,7 +93,7 @@ def test_phantom_replay_from_manifest(tmp_path):
     first = tmp_path / "first"
     run_cli("phantom", "--cases", 2, "--pairs", 2, "--extents", "16x16x8",
             "--histories", 50, "--seed", 21, "--out", first)
-    manifest = read_manifest(first / "run_manifest.txt")
+    manifest = read_kv(first / "run_manifest.txt")
     replay = tmp_path / "replay"
     run_cli(
         manifest["command"],
@@ -118,6 +122,7 @@ def test_analyze_reference_totals(tmp_path):
     csv = (tmp_path / "rep" / "flops.csv").read_text()
     assert csv.splitlines()[0].startswith("layer_id,")
     assert (tmp_path / "rep" / "flops.txt").exists()
+    assert_run_context(read_kv(tmp_path / "rep" / "run_manifest.txt"))
 
 
 def test_analyze_unet_default_depth():
@@ -152,14 +157,15 @@ def test_denoise_zero_checkpoint_zero_volume(tmp_path):
     for view in ("axial", "coronal", "sagittal"):
         assert (out / f"denoised_{view}.pgm").exists()
         assert (out / f"input_{view}.pgm").exists()
-    assert_run_context(read_manifest(out / "run_manifest.txt"))
+    manifest = read_kv(out / "run_manifest.txt")
+    assert_run_context(manifest)
+    assert float(manifest["denoise_ms_mean"]) > 0.0
 
 
 def assert_run_context(manifest):
-    """A denoising run records what ran and how long one denoise took."""
+    """A run records the numpy version and the BLAS threads in effect."""
     assert manifest["numpy_version"] == np.__version__
     assert manifest["blas_threads"] == "" or int(manifest["blas_threads"]) >= 1
-    assert float(manifest["denoise_ms_mean"]) > 0.0
 
 
 def test_denoise_missing_checkpoint_is_data_error(tmp_path):
@@ -212,6 +218,7 @@ def test_bench_csv_output(tmp_path):
     assert len(lines) == 3
     assert all(line.split(",")[3] == "12" for line in lines[1:])
     assert "regular3d" in proc.stdout and "decoupled" in proc.stdout
+    assert_run_context(read_kv(tmp_path / "bench" / "run_manifest.txt"))
 
 
 def test_bench_prints_time_ratio_next_to_mac_ratio():
@@ -261,9 +268,25 @@ def test_train_outputs(tiny_pipeline):
     loss = (run_dir / "loss.csv").read_text().splitlines()
     assert loss[0] == "step,loss"
     assert len(loss) == 1 + 60 // 50
-    manifest = read_manifest(run_dir / "run_manifest.txt")
+    manifest = read_kv(run_dir / "run_manifest.txt")
     assert manifest["command"] == "train"
     assert manifest["iterations"] == "60"
+    assert manifest["crop_extents"] == "16x16x8"
+    assert_run_context(manifest)
+
+
+def test_train_replays_from_its_manifest(tiny_pipeline, tmp_path):
+    # the manifest's TrainConfig entries, read back as a --config file, rerun the same training
+    _, _, _, run_dir = tiny_pipeline
+    manifest = read_kv(run_dir / "run_manifest.txt")
+    cfg_file = tmp_path / "replay.cfg"
+    volio.write_kv(cfg_file, {f.name: manifest[f.name] for f in fields(TrainConfig)})
+    replay = tmp_path / "replay"
+    run_cli("train", "--data", manifest["data"], "--model", manifest["model"],
+            "--features", manifest["features"], "--down", manifest["down"],
+            "--config", cfg_file, "--out", replay)
+    for name in ("checkpoint.ddpk", "loss.csv"):
+        assert (replay / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 def test_train_does_not_mutate_inputs(tiny_pipeline, tmp_path):
@@ -281,14 +304,14 @@ def test_train_config_file_flag(tiny_pipeline, tmp_path):
     out = tmp_path / "out"
     run_cli("train", "--data", train_ds, "--out", out, "--features", 4, "--down", 2,
             "--config", cfg_file)
-    manifest = read_manifest(out / "run_manifest.txt")
+    manifest = read_kv(out / "run_manifest.txt")
     assert manifest["iterations"] == "50"
     assert manifest["lr"] == "0.0002"
     # flags still win over the file
     out2 = tmp_path / "out2"
     run_cli("train", "--data", train_ds, "--out", out2, "--features", 4, "--down", 2,
             "--config", cfg_file, "--iterations", 20)
-    assert read_manifest(out2 / "run_manifest.txt")["iterations"] == "20"
+    assert read_kv(out2 / "run_manifest.txt")["iterations"] == "20"
 
 
 def test_train_rejects_unknown_config_key(tiny_pipeline, tmp_path):
@@ -323,7 +346,9 @@ def test_eval_csv_structure(tiny_pipeline, tmp_path):
     assert len(lines) - 1 == 2 * 2
     assert (out / "summary.txt").exists()
     assert any(name.endswith(".pgm") for name in os.listdir(out))
-    assert_run_context(read_manifest(out / "run_manifest.txt"))
+    manifest = read_kv(out / "run_manifest.txt")
+    assert_run_context(manifest)
+    assert float(manifest["denoise_ms_mean"]) > 0.0
 
 
 def test_eval_reproducible(tiny_pipeline, tmp_path):
@@ -347,6 +372,9 @@ def test_eval_reproducible(tiny_pipeline, tmp_path):
     ("phantom", "--cases", 0),  # these were exit 3, after creating the output directory
     ("phantom", "--histories", 0),
     ("eval", "--histories", 0),
+    ("phantom", "--extents", "16x16"),  # malformed extents were exit 3
+    ("phantom", "--extents", "16x0x8"),
+    ("train", "--crop", "16xAx8"),
 ])
 def test_degenerate_flags_are_usage_errors(tiny_pipeline, tmp_path, command, flag, value):
     _, train_ds, test_ds, run_dir = tiny_pipeline
@@ -361,6 +389,35 @@ def test_degenerate_flags_are_usage_errors(tiny_pipeline, tmp_path, command, fla
     proc = run_cli(command, *inputs, flag, value, "--out", out, check=False)
     assert proc.returncode == 2
     assert flag in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    "denoise-missing-checkpoint",
+    "eval-missing-checkpoint",
+    "train-missing-data",
+    "train-crop-indivisible",  # rejected by the net's divisibility
+    "train-crop-larger-than-padded",  # the 16x16x8 cases pad to 24x24x12
+    "phantom-target-without-voxels",
+])
+def test_data_errors_leave_no_out_directory(tiny_pipeline, tmp_path, case):
+    # each of these exited 3 after creating an empty --out
+    _, train_ds, test_ds, _ = tiny_pipeline
+    missing = tmp_path / "nope.ddpk"
+    train = ["train", "--data", train_ds, "--features", 4, "--down", 2, "--iterations", 1]
+    args = {
+        "denoise-missing-checkpoint": ["denoise", "--checkpoint", missing,
+                                       "--input", test_ds / "case_000" / "noisy_00.dvol"],
+        "eval-missing-checkpoint": ["eval", "--checkpoint", missing, "--data", test_ds],
+        "train-missing-data": ["train", "--data", tmp_path / "nope"],
+        "train-crop-indivisible": train + ["--crop", "16x16x9"],
+        "train-crop-larger-than-padded": train + ["--crop", "64x64x32"],
+        "phantom-target-without-voxels": ["phantom", "--cases", 1, "--extents", "2x2x2"],
+    }[case]
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--out", out, check=False)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 

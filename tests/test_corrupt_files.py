@@ -1,15 +1,16 @@
-"""Seeded truncations and single-byte flips of tiny DVOL, DMSK and DDPK files.
+"""Seeded truncations and single-byte flips of tiny DVOL, DMSK and DDPK files,
+a case manifest and a train config.
 
-Every read of a damaged file either returns or raises ``FormatError``;
-any other exception fails the test.
+Every read of a damaged file either returns or raises ``FormatError`` (or,
+for a train config, ``ConfigError``); any other exception fails the test.
 """
 
 import numpy as np
 import pytest
 
 from mcdenoise import model as M
-from mcdenoise import volio
-from mcdenoise.errors import FormatError
+from mcdenoise import phantom, training, volio
+from mcdenoise.errors import ConfigError, FormatError
 
 from helpers import guard_build_network
 
@@ -39,26 +40,32 @@ def _write_files(tmp_path):
     M.save_checkpoint(M.build_proposed(M.ScaledConfig(1, 1, (4, 4, 4)), seed=3), proposed)
     unet = tmp_path / "u.ddpk"
     M.save_checkpoint(M.build_unet_baseline(M.ScaledConfig(2, 2, (4, 4, 4)), seed=4), unet)
+    phantom.generate_dataset(tmp_path / "ds", (8, 8, 4), 1, 100, pairs_per_case=4, seed=5)
+    case_manifest = tmp_path / "ds" / "case_000" / phantom.MANIFEST_NAME
+    train_cfg = tmp_path / "train.cfg"
+    training.write_train_config(training.TrainConfig(), train_cfg)
     return {
-        "dvol": (dvol, volio.read_dvol),
-        "dmsk": (dmsk, volio.read_dmsk),
-        "ddpk-proposed": (proposed, M.load_checkpoint),
-        "ddpk-unet": (unet, M.load_checkpoint),
+        "dvol": (dvol, volio.read_dvol, FormatError),
+        "dmsk": (dmsk, volio.read_dmsk, FormatError),
+        "ddpk-proposed": (proposed, M.load_checkpoint, FormatError),
+        "ddpk-unet": (unet, M.load_checkpoint, FormatError),
+        "case-manifest": (case_manifest, lambda path: phantom.load_case(path.parent), FormatError),
+        "train-config": (train_cfg, training.parse_train_config, (FormatError, ConfigError)),
     }
 
 
-@pytest.mark.parametrize("kind", ["dvol", "dmsk", "ddpk-proposed", "ddpk-unet"])
+@pytest.mark.parametrize(
+    "kind", ["dvol", "dmsk", "ddpk-proposed", "ddpk-unet", "case-manifest", "train-config"])
 def test_damaged_file_returns_or_raises_format_error(tmp_path, monkeypatch, kind):
-    path, read = _write_files(tmp_path)[kind]
+    path, read, errors = _write_files(tmp_path)[kind]
     blob = path.read_bytes()
     assert len(blob) < 48 * 1024  # keeps every config the reader accepts below the guard's cap
     read(path)  # the undamaged file reads
     guard_build_network(monkeypatch)
-    bad_path = tmp_path / ("bad" + path.suffix)
     rng = np.random.default_rng(sum(map(ord, kind)))
     for bad in _damaged(blob, rng):
-        bad_path.write_bytes(bad)
+        path.write_bytes(bad)  # in place: a case manifest is read from its case directory
         try:
-            read(bad_path)
-        except FormatError:
+            read(path)
+        except errors:
             pass

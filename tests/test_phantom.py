@@ -265,6 +265,61 @@ def test_dmsk_roundtrip_and_validation(tmp_path):
         volio.write_dmsk(tmp_path / "bad.dmsk", mask + 0.5, (1, 1, 1))
 
 
+# -- key=value text -----------------------------------------------------------------------
+
+
+def test_kv_roundtrip_with_none_and_tuple(tmp_path):
+    path = tmp_path / "m.txt"
+    volio.write_kv(path, {"b": 1.5, "empty": None, "crop": (16, 16, 8), "a": "x=y"})
+    assert path.read_text() == "b=1.5\nempty=\ncrop=16x16x8\na=x=y\n"
+    assert volio.read_kv(path) == {"b": "1.5", "empty": "", "crop": "16x16x8", "a": "x=y"}
+    assert not (tmp_path / "m.txt.tmp").exists()
+
+
+def test_kv_skips_blank_lines_and_comments(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# a comment\n\n  lr = 2e-4  \n")
+    assert volio.read_kv(path) == {"lr": "2e-4"}
+
+
+@pytest.mark.parametrize("text, line, match", [
+    (b"a=1\nb=2\na=3\n", 3, "repeated key 'a'"),
+    (b"a=1\njust words\n", 2, "expected key=value"),
+    (b"a=1\n\n=5\n", 3, "expected key=value"),
+    (b"a=1\nb=\xff\n", 2, "not UTF-8"),
+])
+def test_kv_malformed_line_is_format_error(tmp_path, text, line, match):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match=match) as info:
+        volio.read_kv(path)
+    assert f"m.txt:{line}:" in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [("", "1"), ("a=b", "1"), ("#a", "1"), ("a", "x\ny")])
+def test_kv_writer_refuses_what_would_read_back_otherwise(tmp_path, key, value):
+    with pytest.raises(FormatError):
+        volio.write_kv(tmp_path / "m.txt", {key: value})
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_load_case_rejects_empty_and_missing_names(tmp_path):
+    P.generate_dataset(tmp_path, (16, 16, 8), 1, 200, 2, seed=3)
+    case_dir = P.list_case_dirs(tmp_path)[0]
+    manifest = tmp_path / "case_000" / P.MANIFEST_NAME
+    good = manifest.read_text()
+    for bad in (good.replace("clean=clean.dvol", "clean="),  # was IsADirectoryError
+                good.replace("noisy_1=noisy_01.dvol", "noisy_1=noisy_07.dvol"),
+                good.replace("ptv_mask=ptv.dmsk\n", "")):
+        manifest.write_text(bad)
+        with pytest.raises(FormatError):
+            P.load_case(case_dir)
+    manifest.write_text(good)
+    volio.write_dmsk(tmp_path / "case_000" / "ptv.dmsk", np.ones((16, 16, 4)), (1, 1, 1))
+    with pytest.raises(FormatError, match="differ in extents"):
+        P.load_case(case_dir)
+
+
 def test_pgm_export(tmp_path):
     values = np.linspace(0.0, 100.0, 4 * 4 * 2).reshape(4, 4, 2)
     paths = volio.export_middle_slices(values, tmp_path, "test", (0.0, 80.0))
