@@ -167,7 +167,7 @@ def _eval_csv_header() -> str:
 def cmd_eval(args) -> int:
     started = time.time()
     net = load_checkpoint(args.checkpoint)
-    cases = [phantom.load_case(case_dir) for case_dir in phantom.list_case_dirs(args.data)]
+    cases = [phantom.load_reference(case_dir) for case_dir in phantom.list_case_dirs(args.data)]
     for case in cases:
         check_divisible(net.name, net.cfg.num_down, case.clean.extents, ShapeError)
     out = _ensure_out(args.out)
@@ -352,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=_positive_int, default=8, help="base feature count")
     p.add_argument("--down", type=_positive_int, default=DESK_NUM_DOWN, help="downsampling module count")
     p.add_argument("--config", help="key=value TrainConfig file; flags win")
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--iterations", type=_int_flag(0))
     p.add_argument("--lr", type=float)
     p.add_argument("--crop", type=_extents, dest="crop_extents", help="training crop extents HxWxD")
-    p.add_argument("--pad", type=int)
+    p.add_argument("--pad", type=_int_flag(0))
     p.add_argument("--seed", type=_seed)
     p.add_argument("--normalization-dose", type=_positive_dose, dest="normalization_dose")
     p.add_argument("--no-swap", action="store_false", dest="swap_input_target", default=None,

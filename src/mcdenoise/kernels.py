@@ -42,15 +42,15 @@ at a time in block-sized scratch, only the last pass writing the output.
 
 Instance norm standardizes each channel over its volume, with
 ``INSTANCE_NORM_EPS`` added to the variance; with ``relu`` it also clamps
-the result at zero, the norm and the ReLU after it as one kernel
-(``model._schedule`` runs every norm whose only consumer is a relu this
-way). The clamp is ``tensor.relu``'s forward run in place on the norm's
-output through ``tensor.Untaped(out)``, so it is not recorded, the
-ReLU's arithmetic is written once and a span around ``tensor.relu``
-still times every ReLU. Its backward keeps the input, the output and the
-per-channel mean and 1 / sigma, and recomputes the rest. No kernel's
-backward reads a temporary of its forward: those come from
-``Buffers.scratch`` and die when the kernel returns.
+the result at zero, the norm and the ReLU after it as one kernel, as
+every norm layer of the networks runs. The clamp is ``tensor.relu``'s
+forward run in place on the norm's output through
+``tensor.Untaped(out)``, so it is not recorded, the ReLU's arithmetic is
+written once and a span around ``tensor.relu`` still times every ReLU.
+Its backward keeps the input, the output and the per-channel mean and
+1 / sigma, and recomputes the rest. No kernel's backward reads a
+temporary of its forward: those come from ``Buffers.scratch`` and die
+when the kernel returns.
 
 The voxel unshuffle rearranges a C-channel volume into 8C channels at
 half resolution: output channel ``c * 8 + 4k + 2j + i`` holds the
@@ -130,14 +130,14 @@ def voxel_shuffle(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
 
 @dataclass
 class ConvSpec:
-    """Weights, bias and geometry of one convolution layer."""
+    """Weights, optional bias and geometry of one convolution layer."""
 
     c_in: int
     c_out: int
     kernel: tuple[int, int, int]
     stride: tuple[int, int, int]
     weights: Tensor
-    bias: Tensor
+    bias: Tensor | None = None
 
     def __post_init__(self):
         self.kernel = tuple(int(k) for k in self.kernel)
@@ -153,8 +153,12 @@ class ConvSpec:
             raise ContractError(
                 f"weight shape {self.weights.shape} does not match {expected}"
             )
-        if self.bias.shape != (self.c_out,):
+        if self.bias is not None and self.bias.shape != (self.c_out,):
             raise ContractError(f"bias shape {self.bias.shape} != ({self.c_out},)")
+
+    def tensors(self) -> tuple:
+        """The weights, then the bias if any: tape parents beside the input, and checkpoint order."""
+        return (self.weights,) if self.bias is None else (self.weights, self.bias)
 
 
 # Uniform draws per block of ``make_conv_spec``'s fill (256 KiB): the
@@ -163,7 +167,7 @@ _DRAW_BLOCK_VALUES = 2**15
 
 
 def make_conv_spec(c_in, c_out, kernel, stride, rng: np.random.Generator) -> ConvSpec:
-    """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero bias.
+    """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), no bias.
 
     The values are those of ``rng.uniform(-bound, bound, size=(c_out, c_in)
     + kernel)``, bit for bit, but sit in memory as [c_out, kh, kw, kd, c_in]
@@ -186,8 +190,7 @@ def make_conv_spec(c_in, c_out, kernel, stride, rng: np.random.Generator) -> Con
         np.multiply(u.transpose(0, 2, 1), bound - -bound, out=block)
         block += -bound
     w = Tensor(np.moveaxis(stored.reshape((c_out,) + kernel + (c_in,)), -1, 1), requires_grad=True)
-    b = Tensor(np.zeros(c_out), requires_grad=True)
-    return ConvSpec(c_in, c_out, kernel, tuple(stride), w, b)
+    return ConvSpec(c_in, c_out, kernel, tuple(stride), w)
 
 
 def conv_output_extents(extents, kernel, stride) -> tuple[int, int, int]:
@@ -410,15 +413,17 @@ def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool 
         if spec.stride != (1, 1, 1):
             raise ContractError(f"conv3d: only stride-1 convs run coarse-first, got {spec.stride}")
         out = _coarse_first_conv(x.data, spec, buffers)
-        return buffers.result(out, (x, spec.weights, spec.bias),
+        return buffers.result(out, (x,) + spec.tensors(),
                               lambda g: _coarse_first_grads(g, x, spec))
     geo = _phase_grid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
     acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
     out = buffers.output((x.shape[0], spec.c_out) + geo.out)
-    np.add(geo.valid(acc).transpose(1, 0, 2, 3, 4), spec.bias.data.reshape(1, -1, 1, 1, 1), out=out)
+    np.copyto(out, geo.valid(acc).transpose(1, 0, 2, 3, 4))
+    if spec.bias is not None:
+        out += spec.bias.data.reshape(1, -1, 1, 1, 1)
 
     def _bw(g):
-        if spec.bias.requires_grad:
+        if spec.bias is not None and spec.bias.requires_grad:
             _accumulate(spec.bias, g.sum(axis=(0, 2, 3, 4)))
         if not (spec.weights.requires_grad or x.requires_grad):
             return
@@ -432,7 +437,7 @@ def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool 
             _tap_sum_input_grad(spec.weights.data, g_cols, geo.tap_views(dphases))
             _accumulate(x, geo.merge(dphases))
 
-    return buffers.result(out, (x, spec.weights, spec.bias), _bw)
+    return buffers.result(out, (x,) + spec.tensors(), _bw)
 
 
 def conv_axial(x: Tensor, spec: ConvSpec) -> Tensor:
@@ -704,7 +709,7 @@ def upsample_trilinear(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
 
 
 def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.ndarray:
-    """The stride-1 conv of ``upsample_trilinear(p)`` with its bias: [B, c_out, 2h, 2w, 2d].
+    """The stride-1 conv of ``upsample_trilinear(p)``, with its bias if any: [B, c_out, 2h, 2w, 2d].
 
     Both operators are linear and the upsample acts per channel, so
     conv(up(p)) = sum over taps t of shift_t(up(W_t p)). One GEMM per tap
@@ -721,7 +726,7 @@ def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.nd
     with np.errstate(all="ignore"):
         for t in range(by_tap.shape[1]):
             np.matmul(w_taps[:, t], p.reshape(b, c_in, -1), out=by_tap[:, t])
-    return _upsampled_sum(responses, buffers, spec.bias.data)
+    return _upsampled_sum(responses, buffers, None if spec.bias is None else spec.bias.data)
 
 
 def _unshifted(a: np.ndarray, axis: int, dst: slice, src: slice) -> np.ndarray:
@@ -744,7 +749,7 @@ def _coarse_first_grads(g: np.ndarray, x: Tensor, spec: ConvSpec):
     channel-major like the weights' memory. Then dW_t = g_t x.T and
     dx = sum_t W_t.T g_t, each one GEMM over the stacked taps.
     """
-    if spec.bias.requires_grad:
+    if spec.bias is not None and spec.bias.requires_grad:
         _accumulate(spec.bias, g.sum(axis=(0, 2, 3, 4)))
     if not (spec.weights.requires_grad or x.requires_grad):
         return

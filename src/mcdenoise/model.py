@@ -7,17 +7,17 @@ with the layer's entry in ``LAYER_RULES``, the one table of how each kind
 applies to tensors and to shapes and which parameters it holds:
 ``forward`` walks tensors and ``perf.count_flops`` walks shapes.
 Both forwards run each layer as ``_schedule`` says, one shape walk kept
-on the net for the last input shape: a layer and its only consumer may
-run as one kernel (a conv runs coarse-first on the input of the upsample
-before it, an inorm runs the relu after it, which is every relu of both
-nets), the layer the kernel covers handing its input on. ``infer`` is
-the forward without the tape: from the schedule it plans one arena for
-every layer output (outputs whose lifetimes do not overlap share memory)
-and one scratch region for the kernels' temporaries, and the tensor walk
-runs the same kernels in views of it. Parameter iteration, checkpoint
-records and parameter counts read the table's params column. The layer
-list, checkpoints and ``perf.count_flops`` still describe the network as
-defined, upsample and relu included.
+on the net for the last input shape: an upsample is skipped, handing its
+input on, where its only consumer is a conv that runs coarse-first on
+that input. ``infer`` is the forward without the tape: from the schedule
+it plans one arena for every layer output (outputs whose lifetimes do
+not overlap share memory) and one scratch region for the kernels'
+temporaries, and the tensor walk runs the same kernels in views of it.
+Parameter iteration, checkpoint records and parameter counts read the
+table's params column. The layer list, checkpoints and
+``perf.count_flops`` keep every upsample. An ``inorm`` layer runs the
+instance norm and its ReLU as one kernel; a conv that feeds one has no
+bias, as the norm subtracts each channel's mean (the head convs have one).
 
 Lightweight net: voxel unshuffle, then ``num_down`` downsampling modules
 of [axial conv (3,3,1) stride (2,2,1) + norm + relu, slice conv (1,1,3)
@@ -41,7 +41,7 @@ decoder/pyramid convs emit the channel count of the skip they join.
 import os
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .kernels import (
     voxel_shuffle,
     voxel_unshuffle,
 )
-from .tensor import FRESH, Buffers, Tensor, Untaped, concat, relu
+from .tensor import FRESH, Buffers, Tensor, Untaped, concat
 
 PROPOSED = "proposed"
 UNET_BASELINE = "unet-baseline"
@@ -65,7 +65,7 @@ UNET_BASELINE = "unet-baseline"
 _FEATURE_CAP_FACTOR = 8  # doubling stops at 8x base (512 for base 64)
 
 CHECKPOINT_MAGIC = b"DDPK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _NAME_TAGS = {PROPOSED: 1, UNET_BASELINE: 2}
 _TAG_NAMES = {v: k for k, v in _NAME_TAGS.items()}
 
@@ -154,15 +154,18 @@ class _GraphBuilder:
         self.net.layers.append(Layer(kind, inputs, stage=stage, **kw))
         return len(self.net.layers) - 1
 
-    def conv(self, src, c_in, c_out, kernel, stride, stage) -> int:
+    def module(self, src, c_in, c_out, kernel, stride, stage) -> int:
+        """A conv without bias, then its instance norm with the ReLU; the norm's id."""
         spec = make_conv_spec(c_in, c_out, kernel, stride, self.rng)
-        return self.add("conv", src, stage, spec=spec)
+        conv = self.add("conv", src, stage, spec=spec)
+        scale = Tensor(np.ones(c_out), requires_grad=True)
+        shift = Tensor(np.zeros(c_out), requires_grad=True)
+        return self.add("inorm", conv, stage, scale=scale, shift=shift)
 
-    def norm_relu(self, src, channels, stage) -> int:
-        scale = Tensor(np.ones(channels), requires_grad=True)
-        shift = Tensor(np.zeros(channels), requires_grad=True)
-        n = self.add("inorm", src, stage, scale=scale, shift=shift)
-        return self.add("relu", n, stage)
+    def head(self, src, c_in, c_out, kernel) -> int:
+        """A stride-1 conv with a zero bias, as no norm follows it."""
+        spec = make_conv_spec(c_in, c_out, kernel, (1, 1, 1), self.rng)
+        return self.add("conv", src, "head", spec=replace(spec, bias=Tensor(np.zeros(c_out), True)))
 
 
 def build_proposed(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
@@ -176,10 +179,8 @@ def build_proposed(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     skip_channels = [8]
     c = 8
     for f in feats:
-        conv = b.conv(prev, c, f, (3, 3, 1), (2, 2, 1), "backbone")
-        prev = b.norm_relu(conv, f, "backbone")
-        conv = b.conv(prev, f, f, (1, 1, 3), (1, 1, 2), "backbone")
-        prev = b.norm_relu(conv, f, "backbone")
+        prev = b.module(prev, c, f, (3, 3, 1), (2, 2, 1), "backbone")
+        prev = b.module(prev, f, f, (1, 1, 3), (1, 1, 2), "backbone")
         skips.append(prev)
         skip_channels.append(f)
         c = f
@@ -188,15 +189,13 @@ def build_proposed(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     for level in range(cfg.num_down - 1, -1, -1):
         q = skip_channels[level]
         up = b.add("upsample", p, "pyramid")
-        conv = b.conv(up, pc, q, (3, 3, 1), (1, 1, 1), "pyramid")
-        mid = b.norm_relu(conv, q, "pyramid")
-        conv = b.conv(mid, q, q, (1, 1, 3), (1, 1, 1), "pyramid")
-        mid = b.norm_relu(conv, q, "pyramid")
+        mid = b.module(up, pc, q, (3, 3, 1), (1, 1, 1), "pyramid")
+        mid = b.module(mid, q, q, (1, 1, 3), (1, 1, 1), "pyramid")
         p = b.add("concat", (mid, skips[level]), "pyramid")
         pc = 2 * q
 
-    h = b.conv(p, pc, 8, (3, 3, 1), (1, 1, 1), "head")
-    h = b.conv(h, 8, 8, (1, 1, 3), (1, 1, 1), "head")
+    h = b.head(p, pc, 8, (3, 3, 1))
+    h = b.head(h, 8, 8, (1, 1, 3))
     b.add("shuffle", h, "head")
     return b.net
 
@@ -211,8 +210,7 @@ def build_unet_baseline(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     skips = []
     c = 1
     for f in feats:
-        conv = b.conv(prev, c, f, (3, 3, 3), (2, 2, 2), "backbone")
-        prev = b.norm_relu(conv, f, "backbone")
+        prev = b.module(prev, c, f, (3, 3, 3), (2, 2, 2), "backbone")
         skips.append(prev)
         c = f
 
@@ -220,13 +218,12 @@ def build_unet_baseline(cfg: ScaledConfig, seed: int = 0) -> NetworkGraph:
     for level in range(cfg.num_down - 2, -1, -1):
         q = feats[level]
         up = b.add("upsample", p, "pyramid")
-        conv = b.conv(up, pc, q, (3, 3, 3), (1, 1, 1), "pyramid")
-        mid = b.norm_relu(conv, q, "pyramid")
+        mid = b.module(up, pc, q, (3, 3, 3), (1, 1, 1), "pyramid")
         p = b.add("concat", (mid, skips[level]), "pyramid")
         pc = 2 * q
 
     up = b.add("upsample", p, "head")
-    b.conv(up, pc, 1, (3, 3, 3), (1, 1, 1), "head")
+    b.head(up, pc, 1, (3, 3, 3))
     return b.net
 
 
@@ -267,13 +264,12 @@ LAYER_RULES = {
                          lambda layer, ss: _regrid(ss[0], ss[0][1] // 8, 2, 1)),
     "conv": LayerRule(lambda layer, xs, buffers=FRESH: conv3d(xs[0], layer.spec, buffers),
                       _conv_shape,
-                      lambda layer: [("weights", layer.spec.weights), ("bias", layer.spec.bias)]),
+                      lambda layer: list(zip(("weights", "bias"), layer.spec.tensors()))),
+    # the instance norm and the ReLU after it, as one kernel
     "inorm": LayerRule(lambda layer, xs, buffers=FRESH: instance_norm(
-                           xs[0], layer.scale, layer.shift, buffers=buffers),
+                           xs[0], layer.scale, layer.shift, buffers=buffers, relu=True),
                        lambda layer, ss: ss[0],
                        lambda layer: [("scale", layer.scale), ("shift", layer.shift)]),
-    "relu": LayerRule(lambda layer, xs, buffers=FRESH: relu(xs[0], buffers),
-                      lambda layer, ss: ss[0]),
     "upsample": LayerRule(lambda layer, xs, buffers=FRESH: upsample_trilinear(xs[0], buffers),
                           lambda layer, ss: _regrid(ss[0], ss[0][1], 2, 1)),
     "concat": LayerRule(lambda layer, xs, buffers=FRESH: concat(xs, buffers=buffers),
@@ -311,24 +307,19 @@ def _check_input(net: NetworkGraph, shape):
 # kernel covers it) and the layer whose output holds its value (-1: the input)
 Step = namedtuple("Step", "shape run owner")
 
-# kind -> how a layer runs when its kernel covers its neighbour's too (``_schedule``);
-# the kernels are named inside the functions, looked up at call time as in ``LAYER_RULES``
-_FUSED = {
-    "conv": lambda layer, xs, buffers=FRESH: conv3d(xs[0], layer.spec, buffers, upsampled=True),
-    "inorm": lambda layer, xs, buffers=FRESH: instance_norm(
-        xs[0], layer.scale, layer.shift, buffers=buffers, relu=True),
-}
+
+# A conv on the input of the upsample ``_schedule`` skips; conv3d is looked up at call time
+def _coarse_first_apply(layer, xs, buffers=FRESH):
+    return conv3d(xs[0], layer.spec, buffers, upsampled=True)
 
 
 def _schedule(net: NetworkGraph, shape) -> list[Step]:
     """How each layer of ``net`` runs at input ``shape``: one ``Step`` per layer.
 
-    A layer and its only consumer run as one kernel in two cases. An
-    upsample whose only consumer is a conv that ``kernels.coarse_first``
+    An upsample whose only consumer is a conv that ``kernels.coarse_first``
     selects at the upsample's input shape is skipped, and the conv runs
-    coarse-first on that input. An inorm whose only consumer is a relu runs
-    the relu in its own kernel, and the relu is skipped. A skipped layer
-    hands its input on, so the layer holding its input's value holds its.
+    coarse-first on that input. The skipped upsample hands its input on,
+    so the layer holding its input's value holds its.
     """
     users = [[] for _ in net.layers]
     for layer_id, layer in enumerate(net.layers):
@@ -343,9 +334,7 @@ def _schedule(net: NetworkGraph, shape) -> list[Step]:
         user_kind = None if user is None else net.layers[user].kind
         if (layer.kind, user_kind) == ("upsample", "conv") and coarse_first(
                 net.layers[user].spec, inputs[0].shape):
-            run, runs[user] = None, _FUSED["conv"]
-        elif (layer.kind, user_kind) == ("inorm", "relu"):
-            run, runs[user] = _FUSED["inorm"], None
+            run, runs[user] = None, _coarse_first_apply
         out_shape = rule.shape(layer, [step.shape for step in inputs])
         return Step(out_shape, run, inputs[0].owner if run is None else layer_id)
 
@@ -520,10 +509,6 @@ def infer(net: NetworkGraph, x: np.ndarray) -> np.ndarray:
 # -- checkpoint I/O --------------------------------------------------------------
 
 
-def _layer_blob(layer: Layer) -> np.ndarray:
-    return np.concatenate([t.data.ravel() for _, t in layer.params()])
-
-
 def save_checkpoint(net: NetworkGraph, path):
     """Write the DDPK binary: header, config block, then per-layer weights."""
     chunks = [
@@ -535,7 +520,7 @@ def save_checkpoint(net: NetworkGraph, path):
     for layer_id, layer in enumerate(net.layers):
         if not layer.params():
             continue
-        blob = _layer_blob(layer)
+        blob = np.concatenate([t.data.ravel() for _, t in layer.params()])
         chunks.append(struct.pack("<IQ", layer_id, blob.size))
         chunks.append(blob.astype("<f8").tobytes())
     data = b"".join(chunks)
@@ -557,11 +542,11 @@ def _min_checkpoint_nbytes(base_features: int, num_down: int) -> int:
     """A lower bound of ``checkpoint_nbytes`` for either network.
 
     Each downsampling module of both builders holds a conv with at least
-    ``base_features`` outputs and at least 3 taps (>= 4 values per output
-    with its bias) and that conv's norm (2 per channel): two records of
-    12 bytes and at least 6 * base_features values of 8 bytes.
+    ``base_features`` outputs and at least 9 taps (3x3x1 or 3x3x3, no
+    bias) and that conv's norm (2 per channel): two records of 12 bytes
+    and at least 11 * base_features values of 8 bytes.
     """
-    return 28 + num_down * (24 + 48 * base_features)
+    return 28 + num_down * (24 + 88 * base_features)
 
 
 def _read_exact(fh, n, what):

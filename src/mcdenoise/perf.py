@@ -109,7 +109,7 @@ def count_flops(net: NetworkGraph, input_extents) -> FlopsReport:
 
 
 def count_params(net: NetworkGraph) -> int:
-    """Trainable value count: conv weights and biases plus norm scales and shifts."""
+    """Trainable value count: conv weights, head conv biases, norm scales and shifts."""
     return sum(t.size for _, _, t in net.parameters())
 
 

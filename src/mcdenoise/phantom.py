@@ -273,6 +273,16 @@ def generate_dataset(
 
 
 def load_case(case_dir) -> CaseFiles:
+    """Every volume and mask of a case directory, its noisy realizations in order."""
+    return _read_case(case_dir, realizations=True)
+
+
+def load_reference(case_dir) -> CaseFiles:
+    """The clean volume and masks of a case directory; ``noisy`` is left empty."""
+    return _read_case(case_dir, realizations=False)
+
+
+def _read_case(case_dir, realizations: bool) -> CaseFiles:
     manifest = os.path.join(case_dir, MANIFEST_NAME)
     entries = volio.read_kv(manifest)
     for key in ("clean", "ptv_mask", "body_mask"):
@@ -292,7 +302,7 @@ def load_case(case_dir) -> CaseFiles:
     ptv, _ = volio.read_dmsk(path("ptv_mask"))
     body, _ = volio.read_dmsk(path("body_mask"))
     noisy = []
-    while f"noisy_{len(noisy)}" in entries:
+    while realizations and f"noisy_{len(noisy)}" in entries:
         noisy.append(vol(f"noisy_{len(noisy)}"))
     if any(a.shape != clean.extents for a in [ptv, body] + [n.values for n in noisy]):
         raise FormatError(f"{manifest}: the case's volumes and masks differ in extents")

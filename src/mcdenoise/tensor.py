@@ -41,7 +41,7 @@ forward of either network therefore retains its layers' values and little
 else (Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016,
 trade storage for recomputation the same way). The one op that keeps more
 is a standalone ``relu``, with a one-byte mask per value; the networks
-tape none, as ``model.forward`` runs each relu inside its norm's kernel.
+tape none, as each of their norm layers runs its ReLU in the norm's kernel.
 """
 
 import numpy as np

@@ -182,7 +182,7 @@ def dice_loops(a, b, threshold):
 
 
 # Above every config that a checkpoint of under 48 KB can claim and still
-# pass the reader's size check (28 + num_down * (24 + 48 * base_features)
+# pass the reader's size check (28 + num_down * (24 + 88 * base_features)
 # bytes at least), far below what a flipped high byte claims.
 BUILD_CAP = 1024
 

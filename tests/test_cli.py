@@ -207,6 +207,22 @@ def test_denoise_forged_checkpoint_header_is_data_error(tmp_path, monkeypatch, c
     assert "needs at least" in capsys.readouterr().err
 
 
+def test_denoise_version_1_checkpoint_is_data_error(tmp_path):
+    vol = tmp_path / "v.dvol"
+    volio.write_dvol(vol, np.zeros((16, 16, 8)), (1, 1, 1), 0, 0)
+    ckpt = tmp_path / "c.ddpk"
+    save_checkpoint(build_proposed(ScaledConfig(4, 2, (16, 16, 8)), seed=0), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    blob[4:8] = struct.pack("<I", 1)  # version
+    ckpt.write_bytes(bytes(blob))
+    proc = run_cli("denoise", "--checkpoint", ckpt, "--input", vol, "--out", tmp_path / "o",
+                   check=False)
+    assert proc.returncode == 3
+    assert "unsupported checkpoint version 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # -- bench ---------------------------------------------------------------------------
 
 
@@ -351,6 +367,20 @@ def test_eval_csv_structure(tiny_pipeline, tmp_path):
     assert float(manifest["denoise_ms_mean"]) > 0.0
 
 
+def test_eval_reads_no_noisy_realization(tiny_pipeline, tmp_path, monkeypatch):
+    # eval draws its own noise, so of each case it reads the clean volume and the masks
+    _, _, test_ds, run_dir = tiny_pipeline
+    assert (test_ds / "case_000" / "noisy_00.dvol").exists()
+    reads = []
+    real = volio.read_dvol
+    monkeypatch.setattr(volio, "read_dvol",
+                        lambda path, *a, **kw: reads.append(os.path.basename(path)) or real(path, *a, **kw))
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.ddpk"), "--data", str(test_ds),
+                 "--realizations", "1", "--out", str(tmp_path / "ev")])
+    assert code == 0
+    assert reads == ["clean.dvol"]
+
+
 def test_eval_reproducible(tiny_pipeline, tmp_path):
     root, _, test_ds, run_dir = tiny_pipeline
     a, b = tmp_path / "a", tmp_path / "b"
@@ -468,6 +498,8 @@ def test_channel_and_depth_flags_are_usage_errors(tmp_path, command, flag, value
     ("bench", "--seed", -1),
     ("bench", "--seed", 2**64),
     ("bench", "--repeats", 9),  # was exit 3 from bench_modules
+    ("train", "--iterations", -1),  # these two were exit 3 from TrainConfig
+    ("train", "--pad", -1),
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, command, flag, value):
     inputs = {

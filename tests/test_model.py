@@ -10,7 +10,7 @@ from mcdenoise import kernels as K
 from mcdenoise import model as M
 from mcdenoise import perf, training
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
-from mcdenoise.tensor import Tensor, Untaped, backward
+from mcdenoise.tensor import FRESH, Tensor, Untaped, backward, relu
 
 from helpers import guard_build_network
 
@@ -89,7 +89,6 @@ def test_forward_looks_kernels_up_at_call_time(monkeypatch):
         "voxel_shuffle": "shuffle",
         "conv3d": "conv",
         "instance_norm": "inorm",
-        "relu": "relu",
         "upsample_trilinear": "upsample",
         "concat": "concat",
     }
@@ -100,20 +99,18 @@ def test_forward_looks_kernels_up_at_call_time(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(M, name, counted)
-    # every relu of both nets is its norm's only consumer, so the norm's kernel
-    # runs it (relu=True) and the relu layer calls nothing
+    # every norm layer runs its ReLU in its own kernel (relu=True)
     called = set()
     for net in (M.build_proposed(DESK, seed=0), M.build_unet_baseline(DESK, seed=0)):
         x = np.ones((1, 1) + DESK.input_extents)
         kinds_run = Counter("inorm+relu" if layer.kind == "inorm" else layer.kind
-                            for layer in net.layers if layer.kind != "relu")
-        assert kinds_run["inorm+relu"] == sum(layer.kind == "relu" for layer in net.layers)
+                            for layer in net.layers)
         for run in (lambda: M.forward(net, Tensor(x)), lambda: M.infer(net, x)):
             calls.clear()
             run()
             assert calls == kinds_run
             called |= set(calls)
-    assert called == set(M.LAYER_RULES) - {"inorm", "relu"} | {"inorm+relu"}
+    assert called == set(M.LAYER_RULES) - {"inorm"} | {"inorm+relu"}
 
 
 # -- fused norm and relu, and what the tape keeps ----------------------------------------
@@ -130,9 +127,10 @@ def test_fused_norm_relu_is_bit_identical(build, cfg, monkeypatch):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(1, 1) + cfg.input_extents)
     target = Tensor(rng.normal(size=x.shape))
-    relus = Counter()
-    real_relu = M.relu
-    monkeypatch.setattr(M, "relu", lambda *a: relus.update(["relu"]) or real_relu(*a))
+    norms = Counter()
+    real_norm = M.instance_norm
+    monkeypatch.setattr(M, "instance_norm",
+                        lambda *a, **kw: norms.update([kw.get("relu", False)]) or real_norm(*a, **kw))
 
     def run():
         net = build(cfg, seed=3)
@@ -142,18 +140,16 @@ def test_fused_norm_relu_is_bit_identical(build, cfg, monkeypatch):
         return [out.data, M.infer(net, x), xt.grad] + [t.grad for t in net.param_tensors()]
 
     fused = run()
-    assert relus["relu"] == 0
-    # the net as it ran before: every norm and relu its own layer
-    schedule = M._schedule
-
-    def unfused(net, shape):
-        return [step._replace(run=M.LAYER_RULES[layer.kind].apply, owner=i)
-                if layer.kind in ("inorm", "relu") else step
-                for i, (layer, step) in enumerate(zip(net.layers, schedule(net, shape)))]
-
-    monkeypatch.setattr(M, "_schedule", unfused)
+    n_norms = sum(layer.kind == "inorm" for layer in build(cfg).layers)
+    assert norms == {True: 2 * n_norms}
+    # the reference: each norm layer's ReLU run as its own op after the norm
+    rule = M.LAYER_RULES["inorm"]
+    monkeypatch.setitem(M.LAYER_RULES, "inorm", rule._replace(
+        apply=lambda layer, xs, buffers=FRESH: relu(
+            M.instance_norm(xs[0], layer.scale, layer.shift, buffers=buffers), buffers)))
+    norms.clear()
     plain = run()
-    assert relus["relu"] == 2 * sum(layer.kind == "relu" for layer in build(cfg).layers)
+    assert norms == {False: 2 * n_norms}
     assert len(fused) == len(plain)
     for got, want in zip(fused, plain):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -198,9 +194,8 @@ def test_backward_closures_keep_only_values_and_per_channel_statistics(build, cf
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
-    # one node per layer but the relus and the upsamples that coarse-first convs skip
-    assert len(nodes) == sum(layer.kind != "relu" for layer in net.layers) - len(
-        _coarse_first_convs(net, x.shape))
+    # one node per layer but the upsamples that coarse-first convs skip
+    assert len(nodes) == len(net.layers) - len(_coarse_first_convs(net, x.shape))
     for node in nodes:
         values = {id(_root(t.data)) for t in (node,) + node._parents}
         per_channel = node.shape[0] * node.shape[1]
@@ -235,7 +230,7 @@ def _coarse_first_convs(net, shape):
     steps = M._schedule(net, shape)
     found = []
     for conv, layer in enumerate(net.layers):
-        if layer.kind == "conv" and steps[conv].run is M._FUSED["conv"]:
+        if layer.kind == "conv" and steps[conv].run is M._coarse_first_apply:
             up = layer.inputs[0]
             src = net.layers[up].inputs[0]
             found.append((up, conv, shape if src == -1 else steps[src].shape))
@@ -373,8 +368,7 @@ def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
         views = [b.out for b in net.plan.buffers[:-1]]
         # a skipped layer writes nothing and passes its input on, so the layer
         # whose output holds a value lives until the skipped layer's consumers read it
-        skipped = {i for i, layer in enumerate(net.layers) if layer.kind == "relu"}
-        skipped |= {up for up, _, _ in _coarse_first_convs(net, shape)}
+        skipped = {up for up, _, _ in _coarse_first_convs(net, shape)}
         assert {i for i, v in enumerate(views) if v.size == 0} == skipped
         owner = []
         for layer_id, layer in enumerate(net.layers):
@@ -458,18 +452,19 @@ def _hand_ledger_proposed(base, num_down):
     feats = [min(base * 2**m, base * 8) for m in range(num_down)]
     total = 0
     c = 8
+    # a conv that feeds an IN has no bias
     for f in feats:  # backbone: axial conv + IN, slice conv + IN
-        total += c * f * 9 + f + 2 * f
-        total += f * f * 3 + f + 2 * f
+        total += c * f * 9 + 2 * f
+        total += f * f * 3 + 2 * f
         c = f
     pc = feats[-1]
     for level in range(num_down - 1, -1, -1):  # pyramid levels, deep to shallow
         q = 8 if level == 0 else feats[level - 1]
-        total += pc * q * 9 + q + 2 * q
-        total += q * q * 3 + q + 2 * q
+        total += pc * q * 9 + 2 * q
+        total += q * q * 3 + 2 * q
         pc = 2 * q
-    total += pc * 8 * 9 + 8  # head axial conv
-    total += 8 * 8 * 3 + 8  # head slice conv
+    total += pc * 8 * 9 + 8  # head axial conv with bias
+    total += 8 * 8 * 3 + 8  # head slice conv with bias
     return total
 
 
@@ -477,36 +472,63 @@ def _hand_ledger_unet(base, num_down):
     feats = [min(base * 2**m, base * 8) for m in range(num_down)]
     total = 0
     c = 1
-    for f in feats:
-        total += c * f * 27 + f + 2 * f
+    for f in feats:  # conv without bias + IN
+        total += c * f * 27 + 2 * f
         c = f
     pc = feats[-1]
     for level in range(num_down - 2, -1, -1):
         q = feats[level]
-        total += pc * q * 27 + q + 2 * q
+        total += pc * q * 27 + 2 * q
         pc = 2 * q
-    total += pc * 1 * 27 + 1  # head conv to one channel
+    total += pc * 1 * 27 + 1  # head conv to one channel, with bias
     return total
 
 
 def test_proposed_param_ledger_desk():
     net = M.build_proposed(DESK, seed=0)
     counted = sum(t.size for _, _, t in net.parameters())
-    assert counted == _hand_ledger_proposed(8, 3) == 21472
+    assert counted == _hand_ledger_proposed(8, 3) == 21296
 
 
 def test_unet_param_ledger_desk():
     net = M.build_unet_baseline(M.ScaledConfig(8, 3, (32, 32, 16)), seed=0)
     counted = sum(t.size for _, _, t in net.parameters())
-    assert counted == _hand_ledger_unet(8, 3) == 38905
+    assert counted == _hand_ledger_unet(8, 3) == 38825
+
+
+@pytest.mark.parametrize("name, cfg, n_layers", [
+    (M.PROPOSED, DESK, 34),
+    (M.UNET_BASELINE, DESK, 16),
+    (M.PROPOSED, M.PAPER_PROPOSED_CONFIG, 54),
+    (M.UNET_BASELINE, M.PAPER_UNET_CONFIG, 34),
+])
+def test_graph_holds_only_what_runs_and_learns(name, cfg, n_layers):
+    # a norm layer runs its own ReLU, and a conv that feeds a norm holds no bias,
+    # as the norm subtracts each channel's mean; the head convs keep a zero bias
+    assert "relu" not in M.LAYER_RULES
+    net = M.build_network(name, cfg, seed=0)
+    assert len(net.layers) == n_layers
+    biased = []
+    for layer_id, layer in enumerate(net.layers):
+        assert layer.kind in M.LAYER_RULES
+        if layer.kind != "conv":
+            continue
+        users = [user.kind for user in net.layers if layer_id in user.inputs]
+        if users == ["inorm"]:
+            assert layer.spec.bias is None, layer_id
+            assert [pname for pname, _ in layer.params()] == ["weights"]
+        else:
+            assert layer.stage == "head" and not np.any(layer.spec.bias.data), layer_id
+            biased.append(layer_id)
+    assert len(biased) == {M.PROPOSED: 2, M.UNET_BASELINE: 1}[name]
 
 
 def test_backbone_nonlinearity_counts():
-    # 2 ReLUs per decoupled module vs 1 per regular module
+    # 2 ReLUs per decoupled module vs 1 per regular module, each run by its norm layer
     prop = M.build_proposed(M.ScaledConfig(4, 5, (64, 64, 64)), seed=0)
     unet = M.build_unet_baseline(M.ScaledConfig(4, 6, (64, 64, 64)), seed=0)
-    n_prop = sum(1 for l in prop.layers if l.kind == "relu" and l.stage == "backbone")
-    n_unet = sum(1 for l in unet.layers if l.kind == "relu" and l.stage == "backbone")
+    n_prop = sum(1 for l in prop.layers if l.kind == "inorm" and l.stage == "backbone")
+    n_unet = sum(1 for l in unet.layers if l.kind == "inorm" and l.stage == "backbone")
     assert n_prop == 10
     assert n_unet == 6
 
@@ -666,6 +688,20 @@ def test_checkpoint_size_lower_bound(name):
             extent = M.divisor(name, num_down)
             net = M.build_network(name, M.ScaledConfig(base, num_down, (extent,) * 3))
             assert M._min_checkpoint_nbytes(base, num_down) <= M.checkpoint_nbytes(net)
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    # version 1 gave every relu a layer id and every conv a bias record: its
+    # layer records do not fit this layout, so its header alone rejects it
+    net = M.build_proposed(DESK, seed=0)
+    path = tmp_path / "net.ddpk"
+    M.save_checkpoint(net, path)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack("<I", blob[4:8]) == (M.CHECKPOINT_VERSION,) == (2,)
+    blob[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        M.load_checkpoint(path)
 
 
 def test_checkpoint_preserves_seed_and_name(tmp_path):

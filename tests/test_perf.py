@@ -58,12 +58,12 @@ def test_count_flops_invalid_extents():
 
 
 def test_count_params_examples():
-    # a single 3x3x3 conv 1 -> 64 with bias
+    # a single 3x3x3 conv 1 -> 64, without bias as a norm follows it
     net = build_unet_baseline(ScaledConfig(64, 1, (2, 2, 2)), seed=0)
     first_conv = NetworkGraph(net.name, net.cfg, net.seed, net.layers[:1])
-    assert perf.count_params(first_conv) == 64 * 27 + 64 == 1792
-    # the whole net: that conv, its norm's scale and shift, the 3x3x3 conv 64 -> 1
-    assert perf.count_params(net) == 1792 + 2 * 64 + 64 * 27 + 1 == 3649
+    assert perf.count_params(first_conv) == 64 * 27 == 1728
+    # the whole net: that conv, its norm's scale and shift, the 3x3x3 head conv 64 -> 1 with bias
+    assert perf.count_params(net) == 1728 + 2 * 64 + 64 * 27 + 1 == 3585
 
 
 def test_count_params_matches_graph_sum():
@@ -85,6 +85,17 @@ def test_reference_configuration_complexity():
     assert 10.8e6 <= pp <= 13.2e6
     assert 44.1e6 <= pu <= 53.9e6
     assert 3.0 <= pu / pp <= 5.0
+
+
+def test_reference_totals_exact():
+    # FLOPs count the convs as defined; parameters hold a bias only in the head convs
+    for build, cfg, flops, params in [
+        (build_proposed, PAPER_PROPOSED_CONFIG, 57_352_912_896, 12_263_984),
+        (build_unet_baseline, PAPER_UNET_CONFIG, 926_127_489_024, 49_336_129),
+        (build_proposed, DESK, 13_615_104, 21_296),
+    ]:
+        report = perf.count_flops(build(cfg, seed=0), cfg.input_extents)
+        assert (report.total_flops, report.total_params) == (flops, params)
 
 
 def test_decoupling_ratio_exact():

@@ -258,7 +258,7 @@ def test_fan_out_gradients():
         z = T.add(y, y)
         return T.concat([z, conv3d(z, spec)]).square().mean()
 
-    leaves = [x, spec.weights, spec.bias]
+    leaves = [x, *spec.tensors()]
     check_gradients(fn, leaves)
 
     T.zero_grads(leaves)
