@@ -7,8 +7,9 @@ bench (module wall-time comparison). A command given --out loads and
 checks its inputs before it makes the directory, and ends by writing a
 run manifest there (``volio.write_kv``): the run context (command, tool
 version, wall time, numpy version, BLAS threads), then its parsed
-arguments, overridden by what it resolved from them. Exit codes: 0 ok,
-2 usage, 3 data or format error, 4 numeric error.
+arguments, overridden by what it resolved from them. No flag sets the dose
+scale or says how a --seed derives each random stream: both are rules of
+``phantom``. Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric error.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__, metrics, perf, phantom, volio
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .model import (
     PAPER_PROPOSED_CONFIG,
     PAPER_UNET_CONFIG,
@@ -33,6 +34,7 @@ from .model import (
     load_checkpoint,
 )
 from .training import (
+    LOG_EVERY,
     TrainConfig,
     check_crop,
     denoise_volume,
@@ -41,7 +43,7 @@ from .training import (
     train,
 )
 
-DOSE_WINDOW_GY = (0.0, 80.0)
+DOSE_WINDOW_GY = (0.0, phantom.DEFAULT_PRESCRIPTION_GY)
 DIFF_WINDOW_GY = (-8.0, 8.0)
 
 EXIT_OK = 0
@@ -126,7 +128,7 @@ def cmd_train(args) -> int:
     loss_log = os.path.join(out, "loss.csv")
 
     def progress(step, value):
-        if step % (10 * 50) == 0:
+        if step % (10 * LOG_EVERY) == 0:
             print(f"step {step}: loss {value:.6g}")
 
     train(net, pairs, cfg, log_path=loss_log, checkpoint_path=checkpoint, progress=progress)
@@ -141,16 +143,16 @@ def cmd_train(args) -> int:
 def cmd_denoise(args) -> int:
     started = time.time()
     net = load_checkpoint(args.checkpoint)
-    values, voxel_size, histories, seed = volio.read_dvol(args.input)
-    check_divisible(net.name, net.cfg.num_down, values.shape, ShapeError)
+    volume = phantom.DoseVolume(*volio.read_dvol(args.input))
+    check_divisible(net.name, net.cfg.num_down, volume.extents, ShapeError)
     out = _ensure_out(args.out)
     start = time.perf_counter()
-    denoised = denoise_volume(net, values, args.normalization_dose)
+    denoised = denoise_volume(net, volume.values)
     denoise_ms = 1e3 * (time.perf_counter() - start)
     out_path = os.path.join(out, "denoised.dvol")
-    volio.write_dvol(out_path, denoised, voxel_size, histories, seed)
+    volio.write_dvol(out_path, denoised, volume.voxel_size_mm, volume.histories, volume.seed)
     volio.export_middle_slices(denoised, out, "denoised", DOSE_WINDOW_GY)
-    volio.export_middle_slices(values, out, "input", DOSE_WINDOW_GY)
+    volio.export_middle_slices(volume.values, out, "input", DOSE_WINDOW_GY)
     _write_manifest(out, args, started, output=out_path, denoise_ms_mean=f"{denoise_ms:.3f}")
     print(f"denoised volume written to {out_path}")
     return EXIT_OK
@@ -170,16 +172,20 @@ def cmd_eval(args) -> int:
     cases = [phantom.load_reference(case_dir) for case_dir in phantom.list_case_dirs(args.data)]
     for case in cases:
         check_divisible(net.name, net.cfg.num_down, case.clean.extents, ShapeError)
+        try:  # the clean volume judged against itself meets every check on the case
+            metrics.evaluate(case.clean, case.clean, case.ptv, case.body)
+        except ContractError as exc:
+            raise ContractError(f"{case.case_id}: {exc}") from None
     out = _ensure_out(args.out)
     rows = []
     denoise_s = []
     reports: dict[str, list[metrics.MetricsReport]] = {"noisy": [], "denoised": []}
-    for case in cases:
+    for index, case in enumerate(cases):
         for r in range(args.realizations):
-            nseed = phantom.realization_seed(args.seed ^ hash_case(case.case_id), r)
+            nseed = phantom.eval_noise_seed(args.seed, index, r)
             noisy = phantom.add_quantum_noise(case.clean, args.histories, nseed)
             start = time.perf_counter()
-            denoised = denoise_volume(net, noisy.values, args.normalization_dose)
+            denoised = denoise_volume(net, noisy.values)
             denoise_s.append(time.perf_counter() - start)
             for source, volume in (("noisy", noisy.values), ("denoised", denoised)):
                 report = metrics.evaluate(volume, case.clean, case.ptv, case.body)
@@ -212,14 +218,6 @@ def cmd_eval(args) -> int:
     _write_manifest(out, args, started, metrics_csv=csv_path,
                     denoise_ms_mean=f"{1e3 * sum(denoise_s) / len(denoise_s):.3f}")
     return EXIT_OK
-
-
-def hash_case(case_id: str) -> int:
-    """Stable small hash so per-case noise streams differ deterministically."""
-    value = 0
-    for ch in case_id:
-        value = (value * 131 + ord(ch)) % (1 << 31)
-    return value
 
 
 # -- analyze ----------------------------------------------------------------------------
@@ -300,17 +298,6 @@ def _extents(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_dose(text: str) -> float:
-    """A dose flag that volumes are divided by: positive and finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite dose, got {text}")
-    return value
-
-
 _FORMATS_EPILOG = (
     "file formats: DVOL dose volumes and DMSK masks are little-endian binaries "
     "(magic, u32 version, u32 HxWxD extents, f32 voxel sizes in mm, u64 histories, "
@@ -357,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crop", type=_extents, dest="crop_extents", help="training crop extents HxWxD")
     p.add_argument("--pad", type=_int_flag(0))
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--normalization-dose", type=_positive_dose, dest="normalization_dose")
     p.add_argument("--no-swap", action="store_false", dest="swap_input_target", default=None,
                    help="disable input/target swapping")
     p.set_defaults(func=cmd_train)
@@ -366,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_FORMATS_EPILOG)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="noisy DVOL file")
-    p.add_argument("--normalization-dose", type=_positive_dose, default=80.0, dest="normalization_dose")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_denoise)
 
@@ -377,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=_positive_int, default=15)
     p.add_argument("--histories", type=_positive_int, default=2)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--normalization-dose", type=_positive_dose, default=80.0, dest="normalization_dose")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

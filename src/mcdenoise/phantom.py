@@ -7,6 +7,10 @@ receives the prescription dose on average. Noise is drawn per voxel from
 a zero-mean Gaussian whose variance is proportional to the local dose and
 inversely proportional to the simulated history count, which is the
 statistical behaviour the denoiser is trained against.
+
+``DEFAULT_PRESCRIPTION_GY`` is the one dose scale, of the noise and of the
+network's input; ``stream_seed`` is the one rule that derives every random
+stream (case, dataset realization, eval draw) from a master seed.
 """
 
 import os
@@ -40,7 +44,6 @@ class PhantomSpec:
     body_center_vox: tuple[float, float, float]
     body_semi_axes_mm: tuple[float, float, float]
     voxel_size_mm: tuple[float, float, float] = DEFAULT_VOXEL_MM
-    prescription_gy: float = DEFAULT_PRESCRIPTION_GY
     seed: int = 0
 
 
@@ -134,13 +137,13 @@ def generate_clean(spec: PhantomSpec) -> DoseVolume:
         target_mean = dose[ptv].mean()
         if target_mean <= 0.0:
             raise ConfigError("beams deposit no dose in the target sphere")
-        dose *= spec.prescription_gy / target_mean
+        dose *= DEFAULT_PRESCRIPTION_GY / target_mean
     return DoseVolume(dose, spec.voxel_size_mm, histories=0, seed=spec.seed)
 
 
 def add_quantum_noise(clean: DoseVolume, histories: int, seed: int) -> DoseVolume:
     """Independent per-voxel Gaussian noise, std = sqrt(dose * 80 Gy / histories),
-    80 Gy being the prescription.
+    80 Gy being the dose scale, ``DEFAULT_PRESCRIPTION_GY``.
 
     Doubling the history count halves the variance; voxels with zero dose
     (everything outside the body) stay exactly zero.
@@ -199,12 +202,24 @@ def default_spec(extents, seed: int = 0) -> PhantomSpec:
     )
 
 
+def stream_seed(master_seed: int, *key: int) -> int:
+    """The first 64-bit word of ``np.random.SeedSequence(master_seed, spawn_key=key)``.
+    A key starts 0 for a case, 1 for a dataset realization and 2 for an eval
+    draw, so no two kinds of stream share one."""
+    state = np.random.SeedSequence(int(master_seed), spawn_key=key).generate_state(1, np.uint64)
+    return int(state[0])
+
+
 def case_seed(master_seed: int, case_index: int) -> int:
-    return int(master_seed) ^ int(case_index)
+    return stream_seed(master_seed, 0, case_index)
 
 
 def realization_seed(case: int, realization: int) -> int:
-    return int(case) ^ ((int(realization) + 1) << 32)
+    return stream_seed(case, 1, realization)
+
+
+def eval_noise_seed(master_seed: int, case_index: int, realization: int) -> int:
+    return stream_seed(master_seed, 2, case_index, realization)
 
 
 MANIFEST_NAME = "manifest.txt"

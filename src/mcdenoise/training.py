@@ -10,13 +10,14 @@ solvable scalar model.
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from . import volio
 from .errors import ConfigError, ContractError, NumericError
 from .model import NetworkGraph, forward, infer, save_checkpoint
-from .phantom import NoisePair
+from .phantom import DEFAULT_PRESCRIPTION_GY, NoisePair
 from .tensor import Tensor, backward, zero_grads, zeros_in_order
 
 LOG_EVERY = 50
@@ -31,9 +32,10 @@ class TrainConfig:
     iterations: int = 2000
     crop_extents: tuple[int, int, int] = (32, 32, 16)
     pad: int = 16  # per-dim effective pad is min(pad, extent // 4)
-    normalization_dose: float = 80.0
     swap_input_target: bool = True
     seed: int = 0
+    # not a field, so nothing can set it; the name stays for perfbench's workloads
+    normalization_dose: ClassVar[float] = DEFAULT_PRESCRIPTION_GY
 
     def __post_init__(self):
         # written so that NaN fails: every comparison with it is false
@@ -49,9 +51,6 @@ class TrainConfig:
             raise ConfigError(f"bad crop extents {self.crop_extents}")
         if self.pad < 0:
             raise ConfigError("pad must be >= 0")
-        if not 0.0 < self.normalization_dose < math.inf:
-            raise ConfigError(
-                f"normalization_dose must be positive and finite, got {self.normalization_dose}")
         if not 0 <= self.seed < 2**64:  # checkpoints store it as u64
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -163,7 +162,7 @@ def check_crop(extents, cfg: TrainConfig):
 def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     """Normalize, pad, apply one shared random crop, and maybe swap roles.
 
-    Both volumes are divided by the normalization dose, zero-padded by
+    Both volumes are divided by the prescription dose, zero-padded by
     min(pad, extent // 4) per dimension, and cropped with the same window
     so input and target stay aligned. With swapping enabled the roles are
     exchanged with probability one half.
@@ -177,7 +176,7 @@ def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
 
     pad_width = [(p, p) for p in pads]
     window = tuple(slice(o, o + c) for o, c in zip(offsets, crop))
-    scale = 1.0 / cfg.normalization_dose
+    scale = 1.0 / DEFAULT_PRESCRIPTION_GY
     xa = np.pad(a * scale, pad_width)[window]
     xb = np.pad(b * scale, pad_width)[window]
     if cfg.swap_input_target and rng.random() < 0.5:
@@ -236,17 +235,17 @@ def write_loss_log(log, path):
             fh.write(f"{step},{value!r}\n")
 
 
-def denoise_volume(net: NetworkGraph, values: np.ndarray, normalization_dose: float = 80.0):
-    """Normalize, run the network without the tape (``model.infer``), and
-    return the denoised grid in Gy.
+def denoise_volume(net: NetworkGraph, values: np.ndarray):
+    """Divide by the prescription dose, run the network without the tape
+    (``model.infer``), and return the denoised grid in Gy.
 
     The network output is unconstrained; the dose map is clamped to be
     nonnegative here rather than inside the net. ``infer``'s output
     belongs to the caller, so it is clamped and scaled in place.
     """
-    out = infer(net, values[None, None] / normalization_dose)[0, 0]
+    out = infer(net, values[None, None] / DEFAULT_PRESCRIPTION_GY)[0, 0]
     np.clip(out, 0.0, None, out=out)
-    out *= normalization_dose
+    out *= DEFAULT_PRESCRIPTION_GY
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -223,6 +224,21 @@ def test_denoise_version_1_checkpoint_is_data_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_denoise_non_finite_input_leaves_no_out_directory(tmp_path):
+    # was exit 4 from the network's first layer, after creating --out
+    values = np.zeros((16, 16, 8))
+    values[3, 4, 5] = np.nan
+    vol = tmp_path / "nan.dvol"
+    volio.write_dvol(vol, values, (1, 1, 1), 0, 0)
+    save_checkpoint(build_proposed(ScaledConfig(4, 2, (16, 16, 8)), seed=0), tmp_path / "c.ddpk")
+    proc = run_cli("denoise", "--checkpoint", tmp_path / "c.ddpk", "--input", vol,
+                   "--out", tmp_path / "o", check=False)
+    assert proc.returncode == 4
+    assert "dose volume contains non-finite values" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # -- bench ---------------------------------------------------------------------------
 
 
@@ -333,11 +349,14 @@ def test_train_config_file_flag(tiny_pipeline, tmp_path):
 def test_train_rejects_unknown_config_key(tiny_pipeline, tmp_path):
     root, train_ds, _, _ = tiny_pipeline
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("warmup=100\n")
-    proc = run_cli("train", "--data", train_ds, "--out", tmp_path / "o",
-                   "--config", cfg_file, check=False)
-    assert proc.returncode == 3
-    assert "unknown key" in proc.stderr
+    # the dose scale is the prescription, a constant: no file sets it
+    for key in ("warmup", "normalization_dose"):
+        cfg_file.write_text(f"{key}=100\n")
+        proc = run_cli("train", "--data", train_ds, "--out", tmp_path / "o",
+                       "--config", cfg_file, check=False)
+        assert proc.returncode == 3
+        assert f"unknown key {key!r}" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 def test_train_reproducible(tiny_pipeline, tmp_path):
@@ -381,6 +400,30 @@ def test_eval_reads_no_noisy_realization(tiny_pipeline, tmp_path, monkeypatch):
     assert reads == ["clean.dvol"]
 
 
+@pytest.mark.parametrize("broken, message", [
+    ("ptv.dmsk", "d_number: empty structure mask"),  # was exit 3 naming no case, after --out
+    ("clean.dvol", "evaluate: ground-truth target D95 is not positive"),
+])
+def test_eval_rejects_a_case_it_cannot_score_before_out(tiny_pipeline, tmp_path, broken, message):
+    _, _, test_ds, run_dir = tiny_pipeline
+    data = tmp_path / "data"
+    shutil.copytree(test_ds, data)
+    path = data / "case_000" / broken
+    if broken == "ptv.dmsk":
+        mask, voxel = volio.read_dmsk(path)
+        volio.write_dmsk(path, np.zeros(mask.shape), voxel)
+    else:
+        values, voxel, histories, seed = volio.read_dvol(path)
+        volio.write_dvol(path, np.zeros(values.shape), voxel, histories, seed)
+    out = tmp_path / "ev"
+    proc = run_cli("eval", "--checkpoint", run_dir / "checkpoint.ddpk", "--data", data,
+                   "--realizations", 1, "--out", out, check=False)
+    assert proc.returncode == 3
+    assert f"case_000: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_eval_reproducible(tiny_pipeline, tmp_path):
     root, _, test_ds, run_dir = tiny_pipeline
     a, b = tmp_path / "a", tmp_path / "b"
@@ -393,12 +436,6 @@ def test_eval_reproducible(tiny_pipeline, tmp_path):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("eval", "--realizations", 0),  # was exit 0 with an all-NaN summary
-    ("eval", "--normalization-dose", 0),  # was exit 4 after a division by zero
-    ("denoise", "--normalization-dose", 0),
-    ("eval", "--normalization-dose", -80),  # was exit 0 with an all-zero volume
-    ("denoise", "--normalization-dose", -80),
-    ("denoise", "--normalization-dose", "nan"),
-    ("train", "--normalization-dose", 0),
     ("phantom", "--cases", 0),  # these were exit 3, after creating the output directory
     ("phantom", "--histories", 0),
     ("eval", "--histories", 0),
@@ -455,8 +492,8 @@ def test_data_errors_leave_no_out_directory(tiny_pipeline, tmp_path, case):
     (["--lr", "nan"], None),  # these ran one step and exited 4 with an empty run directory
     (["--lr", "inf"], None),
     ([], "adam_eps=nan\n"),
-    ([], "normalization_dose=inf\n"),
-], ids=["lr-nan", "lr-inf", "config-adam_eps-nan", "config-normalization_dose-inf"])
+    ([], "lr=inf\n"),
+], ids=["lr-nan", "lr-inf", "config-adam_eps-nan", "config-lr-inf"])
 def test_train_rejects_non_finite_config(tiny_pipeline, tmp_path, flags, config):
     _, train_ds, _, _ = tiny_pipeline
     if config is not None:

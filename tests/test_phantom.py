@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_default_spec_ptv_mean_equals_prescription():
     spec = P.default_spec((64, 64, 16), seed=3)
     clean = P.generate_clean(spec)
     ptv = P.ptv_mask(spec)
-    assert abs(clean.values[ptv].mean() - spec.prescription_gy) < 1e-9
+    assert abs(clean.values[ptv].mean() - P.DEFAULT_PRESCRIPTION_GY) < 1e-9
     assert np.all(clean.values >= 0.0)
     assert np.all(clean.values[~P.body_mask(spec)] == 0.0)
 
@@ -197,6 +198,32 @@ def test_cases_have_different_geometry(tmp_path):
     P.generate_dataset(tmp_path, (16, 16, 8), 3, 200, 2, seed=2)
     ptvs = [P.load_case(d).ptv for d in P.list_case_dirs(tmp_path)]
     assert not np.array_equal(ptvs[0], ptvs[1]) or not np.array_equal(ptvs[1], ptvs[2])
+
+
+def test_master_seeds_give_pairwise_distinct_case_specs():
+    # case_seed was master ^ index, so --seed 0 and --seed 1 wrote the same cases
+    specs = {replace(P.default_spec((16, 16, 8), P.case_seed(master, i)), seed=0)
+             for master in range(16) for i in range(8)}
+    assert len(specs) == 16 * 8
+
+
+def test_eval_noise_streams_differ_from_every_dataset_stream():
+    masters, cases, realizations = range(16), range(8), range(16)
+    dataset = {P.case_seed(m, i) for m in masters for i in cases}
+    dataset |= {P.realization_seed(P.case_seed(m, i), r)
+                for m in masters for i in cases for r in realizations}
+    evals = {P.eval_noise_seed(m, i, r) for m in masters for i in cases for r in realizations}
+    assert len(dataset) == 16 * 8 * 17 and len(evals) == 16 * 8 * 16
+    assert not dataset & evals
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32, 2**64 - 1])
+def test_derived_seeds_fit_volume_headers(master):
+    # a seed is stored as u64 in DVOL headers
+    seeds = [P.case_seed(master, 2**40), P.realization_seed(master, 7),
+             P.eval_noise_seed(master, 3, 2**63)]
+    seeds += [P.realization_seed(P.case_seed(master, i), r) for i in range(4) for r in range(4)]
+    assert all(type(s) is int and 0 <= s < 2**64 for s in seeds)
 
 
 # -- DVOL / DMSK round trips ------------------------------------------------------------

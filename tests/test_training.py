@@ -107,8 +107,7 @@ def test_preprocess_shared_window():
     # crop a coordinate ramp: identical windows give identical crops
     ramp = np.arange(16 * 16 * 8, dtype=np.float64).reshape(16, 16, 8)
     pair = NoisePair(DoseVolume(ramp.copy()), DoseVolume(ramp.copy()), "ramp")
-    cfg = TR.TrainConfig(pad=4, crop_extents=(16, 16, 8), swap_input_target=False,
-                         normalization_dose=1.0)
+    cfg = TR.TrainConfig(pad=4, crop_extents=(16, 16, 8), swap_input_target=False)
     for seed in range(5):
         x, t = TR.preprocess(pair, cfg, np.random.default_rng(seed))
         assert np.array_equal(x.data, t.data)
