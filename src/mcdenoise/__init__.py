@@ -17,16 +17,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .tensor import (
-    Tensor,
-    backward,
-    concat,
-    crop,
-    from_values,
-    pad_zeros,
-    randn,
-    zeros,
-)
+from .tensor import Tensor, backward, concat
 from .kernels import (
     ConvSpec,
     conv3d,

@@ -47,7 +47,6 @@ DOSE_WINDOW_GY = (0.0, phantom.DEFAULT_PRESCRIPTION_GY)
 DIFF_WINDOW_GY = (-8.0, 8.0)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -78,10 +77,6 @@ def _ensure_out(path):
 
 def cmd_phantom(args) -> int:
     started = time.time()
-    if args.pairs < 2 or args.pairs % 2:
-        # training draws input/target pairs from consecutive realizations
-        print(f"error: --pairs must be even and at least 2, got {args.pairs}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         check_divisible(PROPOSED, DESK_NUM_DOWN, args.extents, ConfigError)
     except ConfigError as exc:
@@ -298,6 +293,14 @@ def _extents(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _realizations(text: str) -> int:
+    """A --pairs flag; argparse reports a count training cannot pair as a usage error."""
+    try:
+        return phantom.check_realization_count(int(text))
+    except ValueError as exc:  # ConfigError too
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 _FORMATS_EPILOG = (
     "file formats: DVOL dose volumes and DMSK masks are little-endian binaries "
     "(magic, u32 version, u32 HxWxD extents, f32 voxel sizes in mm, u64 histories, "
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_FORMATS_EPILOG,
     )
     p.add_argument("--cases", type=_positive_int, default=8, help="number of randomized cases")
-    p.add_argument("--pairs", type=int, default=2, help="noisy realizations per case; even and >= 2, since training pairs them")
+    p.add_argument("--pairs", type=_realizations, default=2, help="noisy realizations per case; even and >= 2, since training pairs them")
     p.add_argument("--histories", type=_histories, default=2, help="simulated history count (low counts mean strong noise)")
     p.add_argument("--extents", type=_extents, default="32x32x16", help="grid extents HxWxD")
     p.add_argument("--seed", type=_seed, default=0)
@@ -342,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=_int_flag(0))
     p.add_argument("--lr", type=float)
     p.add_argument("--crop", type=_extents, dest="crop_extents", help="training crop extents HxWxD")
-    p.add_argument("--pad", type=_int_flag(0))
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--no-swap", action="store_false", dest="swap_input_target", default=None,
-                   help="disable input/target swapping")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("denoise", help="apply a checkpoint to one DVOL volume",

@@ -67,10 +67,6 @@ class DoseVolume:
     def extents(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    @property
-    def is_clean(self) -> bool:
-        return self.histories == 0
-
 
 @dataclass
 class NoisePair:
@@ -234,6 +230,14 @@ class CaseFiles:
     body: np.ndarray
 
 
+def check_realization_count(count: int) -> int:
+    """``count`` if a case of that many noisy realizations pairs them all;
+    ``load_dataset_pairs`` pairs consecutive ones, so it must be even and >= 2."""
+    if count < 2 or count % 2:
+        raise ConfigError(f"noisy realizations per case must be even and at least 2, got {count}")
+    return count
+
+
 def generate_dataset(
     out_dir,
     extents,
@@ -241,20 +245,18 @@ def generate_dataset(
     histories: int,
     pairs_per_case: int = 2,
     seed: int = 0,
-) -> list[NoisePair]:
-    """Write ``n_cases`` randomized cases to disk and return the training pairs.
+):
+    """Write ``n_cases`` randomized cases to disk.
 
     Each case directory holds the clean DVOL, ``pairs_per_case`` noisy
-    DVOL realizations, the target/body DMSK masks, and a manifest listing
-    them. Noise pairs are formed from consecutive realizations. ``out_dir``
-    is made once the first case's clean volume exists, so a spec that
-    fails leaves no empty directory.
+    DVOL realizations (``check_realization_count``), the target/body DMSK
+    masks, and a manifest listing them; ``load_dataset_pairs`` reads the
+    training pairs back. ``out_dir`` is made once the first case's clean
+    volume exists, so a spec that fails leaves no empty directory.
     """
     if n_cases < 1:
         raise ContractError("n_cases must be >= 1")
-    if pairs_per_case < 1:
-        raise ContractError("pairs_per_case must be >= 1")
-    pairs = []
+    check_realization_count(pairs_per_case)
     for case in range(n_cases):
         cseed = case_seed(seed, case)
         spec = default_spec(extents, seed=cseed)
@@ -270,7 +272,6 @@ def generate_dataset(
         volio.write_dmsk(os.path.join(case_dir, "body.dmsk"), body_mask(spec), spec.voxel_size_mm)
 
         manifest = {"clean": "clean.dvol", "ptv_mask": "ptv.dmsk", "body_mask": "body.dmsk"}
-        noisy_volumes = []
         for r in range(pairs_per_case):
             nseed = realization_seed(cseed, r)
             noisy = add_quantum_noise(clean, histories, nseed)
@@ -279,12 +280,7 @@ def generate_dataset(
                 os.path.join(case_dir, name), noisy.values, noisy.voxel_size_mm, histories, nseed
             )
             manifest[f"noisy_{r}"] = name
-            noisy_volumes.append(noisy)
         volio.write_kv(os.path.join(case_dir, MANIFEST_NAME), manifest)
-
-        for a in range(0, pairs_per_case - 1, 2):
-            pairs.append(NoisePair(noisy_volumes[a], noisy_volumes[a + 1], case_id))
-    return pairs
 
 
 def load_case(case_dir) -> CaseFiles:
@@ -337,6 +333,7 @@ def list_case_dirs(dataset_dir) -> list[str]:
 
 
 def load_dataset_pairs(dataset_dir) -> list[NoisePair]:
+    """The training pairs of every case: its realizations 0 and 1, 2 and 3, and so on."""
     pairs = []
     for case_dir in list_case_dirs(dataset_dir):
         case = load_case(case_dir)

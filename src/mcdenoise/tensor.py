@@ -46,7 +46,7 @@ tape none, as each of their norm layers runs its ReLU in the norm's kernel.
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
 class Tensor:
@@ -134,17 +134,6 @@ class Tensor:
 # -- creation ---------------------------------------------------------------
 
 
-def _checked_shape(shape) -> tuple:
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0 or any(s < 1 for s in shape):
-        raise ShapeError(f"extents must all be >= 1, got {shape}")
-    return shape
-
-
-def zeros(shape, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(_checked_shape(shape)), requires_grad=requires_grad)
-
-
 def zeros_in_order(a: np.ndarray) -> np.ndarray:
     """Zeros of ``a``'s shape laid out in ``a``'s memory order.
 
@@ -156,19 +145,6 @@ def zeros_in_order(a: np.ndarray) -> np.ndarray:
     """
     order = np.argsort(np.negative(a.strides), kind="stable")  # outermost axis first
     return np.zeros([a.shape[i] for i in order]).transpose(np.argsort(order))
-
-
-def from_values(shape, values, requires_grad=False) -> Tensor:
-    """Tensor with explicit content, filled in row-major order."""
-    shape = _checked_shape(shape)
-    arr = np.asarray(values, dtype=np.float64).reshape(shape)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
-def randn(shape, mean, std, rng: np.random.Generator, requires_grad=False) -> Tensor:
-    """Normal samples drawn from a caller-supplied seeded generator."""
-    shape = _checked_shape(shape)
-    return Tensor(rng.normal(mean, std, size=shape), requires_grad=requires_grad)
 
 
 # -- backward machinery ------------------------------------------------------
@@ -395,41 +371,3 @@ def concat(tensors, buffers: Buffers = FRESH) -> Tensor:
 
     np.concatenate([t.data for t in tensors], axis=1, out=out)
     return buffers.result(out, tuple(tensors), _bw)
-
-
-def pad_zeros(a: Tensor, amounts) -> Tensor:
-    """Zero-pad by ``amounts[d]`` on both sides of every dimension."""
-    amounts = tuple(int(p) for p in amounts)
-    if len(amounts) != len(a.shape):
-        raise ContractError(f"pad_zeros: need {len(a.shape)} amounts, got {len(amounts)}")
-    if any(p < 0 for p in amounts):
-        raise ContractError("pad_zeros: amounts must be >= 0")
-    inner = tuple(slice(p, p + n) for p, n in zip(amounts, a.shape))
-
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, g[inner])
-
-    return _result(np.pad(a.data, [(p, p) for p in amounts]), (a,), _bw)
-
-
-def crop(a: Tensor, offsets, extents) -> Tensor:
-    """Extract the box starting at ``offsets`` with the given extents."""
-    offsets = tuple(int(o) for o in offsets)
-    extents = tuple(int(e) for e in extents)
-    if len(offsets) != len(a.shape) or len(extents) != len(a.shape):
-        raise ContractError("crop: offsets/extents rank mismatch")
-    for o, e, n in zip(offsets, extents, a.shape):
-        if o < 0 or e < 1 or o + e > n:
-            raise ContractError(
-                f"crop: window offset {offsets} extent {extents} outside shape {a.shape}"
-            )
-    window = tuple(slice(o, o + e) for o, e in zip(offsets, extents))
-
-    def _bw(g):
-        if a.requires_grad:
-            buf = np.zeros(a.data.shape)
-            buf[window] = g
-            _accumulate(a, buf)
-
-    return _result(a.data[window].copy(), (a,), _bw)

@@ -6,10 +6,14 @@ which has the same minimizer as supervising against the clean signal when
 the noise is zero mean. ``n2n_equivalence_probe`` demonstrates that
 equivalence (and its failure under biased noise) on an analytically
 solvable scalar model.
+
+Adam runs at its published defaults (Kingma & Ba, "Adam", ICLR 2015) and
+preprocessing always pads by ``PAD`` and may swap input and target; only
+the ``TrainConfig`` fields vary from run to run.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -21,18 +25,16 @@ from .phantom import DEFAULT_PRESCRIPTION_GY, NoisePair
 from .tensor import Tensor, backward, zero_grads, zeros_in_order
 
 LOG_EVERY = 50
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+PAD = 16  # the effective pad per axis is min(PAD, extent // 4)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     iterations: int = 2000
     crop_extents: tuple[int, int, int] = (32, 32, 16)
-    pad: int = 16  # per-dim effective pad is min(pad, extent // 4)
-    swap_input_target: bool = True
     seed: int = 0
     # not a field, so nothing can set it; the name stays for perfbench's workloads
     normalization_dose: ClassVar[float] = DEFAULT_PRESCRIPTION_GY
@@ -41,16 +43,10 @@ class TrainConfig:
         # written so that NaN fails: every comparison with it is false
         if not 0.0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if len(self.crop_extents) != 3 or any(e < 1 for e in self.crop_extents):
             raise ConfigError(f"bad crop extents {self.crop_extents}")
-        if self.pad < 0:
-            raise ConfigError("pad must be >= 0")
         if not 0 <= self.seed < 2**64:  # checkpoints store it as u64
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -68,17 +64,8 @@ def parse_extents(text: str) -> tuple[int, int, int]:
     return extents
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in _BOOL_WORDS:
-        raise ValueError(f"expected one of {sorted(_BOOL_WORDS)}, got {text!r}")
-    return _BOOL_WORDS[text.lower()]
-
-
 # TrainConfig's field types, each with the parser of its text
-_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[int, int, int]: parse_extents}
+_PARSERS = {int: int, float: float, tuple[int, int, int]: parse_extents}
 
 
 def parse_train_config(path) -> TrainConfig:
@@ -94,10 +81,6 @@ def parse_train_config(path) -> TrainConfig:
         except ValueError as exc:  # ConfigError from parse_extents too
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
     return TrainConfig(**updates)
-
-
-def write_train_config(cfg: TrainConfig, path):
-    volio.write_kv(path, asdict(cfg))
 
 
 # -- loss and optimizer ----------------------------------------------------------
@@ -120,11 +103,12 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig):
-    """One bias-corrected Adam update using the gradients stored on the params."""
+    """One bias-corrected Adam update (``ADAM_BETAS``, ``ADAM_EPS``) using the
+    gradients stored on the params."""
     if len(params) != len(state.m):
         raise ContractError("adam_step: parameter count does not match state")
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p, m, v in zip(params, state.m, state.v):
@@ -139,20 +123,20 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig):
         v += (1.0 - b2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        p.data -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- preprocessing -----------------------------------------------------------------
 
 
-def effective_pads(extents, pad: int) -> tuple[int, ...]:
-    return tuple(min(pad, e // 4) for e in extents)
+def effective_pads(extents) -> tuple[int, ...]:
+    return tuple(min(PAD, e // 4) for e in extents)
 
 
 def check_crop(extents, cfg: TrainConfig):
     """The effective pads and padded extents of a volume of ``extents``;
     a ``ConfigError`` when ``cfg.crop_extents`` does not fit the padded volume."""
-    pads = effective_pads(extents, cfg.pad)
+    pads = effective_pads(extents)
     padded_extents = tuple(e + 2 * p for e, p in zip(extents, pads))
     if any(c > pe for c, pe in zip(cfg.crop_extents, padded_extents)):
         raise ConfigError(f"crop {cfg.crop_extents} larger than padded volume {padded_extents}")
@@ -163,9 +147,9 @@ def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     """Normalize, pad, apply one shared random crop, and maybe swap roles.
 
     Both volumes are divided by the prescription dose, zero-padded by
-    min(pad, extent // 4) per dimension, and cropped with the same window
-    so input and target stay aligned. With swapping enabled the roles are
-    exchanged with probability one half.
+    min(PAD, extent // 4) per dimension, and cropped with the same window
+    so input and target stay aligned. The roles are then exchanged with
+    probability one half.
     """
     a, b = pair.input.values, pair.target.values
     if a.shape != b.shape:
@@ -179,7 +163,7 @@ def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     scale = 1.0 / DEFAULT_PRESCRIPTION_GY
     xa = np.pad(a * scale, pad_width)[window]
     xb = np.pad(b * scale, pad_width)[window]
-    if cfg.swap_input_target and rng.random() < 0.5:
+    if rng.random() < 0.5:
         xa, xb = xb, xa
     return Tensor(xa[None, None]), Tensor(xb[None, None])
 

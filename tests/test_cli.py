@@ -491,9 +491,9 @@ def test_data_errors_leave_no_out_directory(tiny_pipeline, tmp_path, case):
 @pytest.mark.parametrize("flags, config", [
     (["--lr", "nan"], None),  # these ran one step and exited 4 with an empty run directory
     (["--lr", "inf"], None),
-    ([], "adam_eps=nan\n"),
+    ([], "lr=nan\n"),
     ([], "lr=inf\n"),
-], ids=["lr-nan", "lr-inf", "config-adam_eps-nan", "config-lr-inf"])
+], ids=["lr-nan", "lr-inf", "config-lr-nan", "config-lr-inf"])
 def test_train_rejects_non_finite_config(tiny_pipeline, tmp_path, flags, config):
     _, train_ds, _, _ = tiny_pipeline
     if config is not None:
@@ -503,7 +503,19 @@ def test_train_rejects_non_finite_config(tiny_pipeline, tmp_path, flags, config)
     out = tmp_path / "out"
     proc = run_cli("train", "--data", train_ds, "--iterations", 1, *flags, "--out", out, check=False)
     assert proc.returncode == 3
-    assert "finite" in proc.stderr
+    assert "must be positive and finite" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "adam_eps", "pad", "swap_input_target"])
+def test_train_config_rejects_keys_that_are_constants(tiny_pipeline, tmp_path, key):
+    _, train_ds, _, _ = tiny_pipeline
+    cfg_file = tmp_path / "train.cfg"
+    cfg_file.write_text(f"lr=1e-4\n{key}=1\n")
+    out = tmp_path / "out"
+    proc = run_cli("train", "--data", train_ds, "--config", cfg_file, "--out", out, check=False)
+    assert proc.returncode == 3
+    assert f"unknown key '{key}'" in proc.stderr
     assert not out.exists()
 
 
@@ -535,8 +547,7 @@ def test_channel_and_depth_flags_are_usage_errors(tmp_path, command, flag, value
     ("bench", "--seed", -1),
     ("bench", "--seed", 2**64),
     ("bench", "--repeats", 9),  # was exit 3 from bench_modules
-    ("train", "--iterations", -1),  # these two were exit 3 from TrainConfig
-    ("train", "--pad", -1),
+    ("train", "--iterations", -1),  # was exit 3 from TrainConfig
 ])
 def test_out_of_range_flags_are_usage_errors(tmp_path, command, flag, value):
     inputs = {

@@ -5,6 +5,8 @@ Every read of a damaged file either returns or raises ``FormatError`` (or,
 for a train config, ``ConfigError``); any other exception fails the test.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def _write_files(tmp_path):
     phantom.generate_dataset(tmp_path / "ds", (8, 8, 4), 1, 100, pairs_per_case=4, seed=5)
     case_manifest = tmp_path / "ds" / "case_000" / phantom.MANIFEST_NAME
     train_cfg = tmp_path / "train.cfg"
-    training.write_train_config(training.TrainConfig(), train_cfg)
+    volio.write_kv(train_cfg, asdict(training.TrainConfig()))
     return {
         "dvol": (dvol, volio.read_dvol, FormatError),
         "dmsk": (dmsk, volio.read_dmsk, FormatError),

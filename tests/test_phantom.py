@@ -152,15 +152,23 @@ def test_noise_determinism(clean_case):
 
 def test_generate_dataset_counts_and_files(tmp_path):
     out = tmp_path / "ds"
-    pairs = P.generate_dataset(out, (16, 16, 8), n_cases=2, histories=200, pairs_per_case=2, seed=7)
-    assert len(pairs) == 2
+    P.generate_dataset(out, (16, 16, 8), n_cases=2, histories=200, pairs_per_case=2, seed=7)
+    assert len(P.load_dataset_pairs(out)) == 2
     case_dirs = P.list_case_dirs(out)
     assert len(case_dirs) == 2
     for case_dir in case_dirs:
         case = P.load_case(case_dir)
         assert len(case.noisy) == 2
-        assert case.clean.is_clean
+        assert case.clean.histories == 0
         assert case.ptv.any() and case.body.any()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_generate_dataset_rejects_counts_training_cannot_pair(tmp_path, count):
+    # with 1 realization it wrote a case that load_dataset_pairs found no pair in
+    with pytest.raises(ConfigError, match="even and at least 2"):
+        P.generate_dataset(tmp_path / "ds", (16, 16, 8), 1, 200, count, seed=3)
+    assert not (tmp_path / "ds").exists()
 
 
 def test_generate_dataset_deterministic(tmp_path):
@@ -183,7 +191,7 @@ def test_generate_dataset_deterministic(tmp_path):
 
 
 def test_noisy_volumes_all_differ(tmp_path):
-    P.generate_dataset(tmp_path, (16, 16, 8), 2, 200, 3, seed=1)
+    P.generate_dataset(tmp_path, (16, 16, 8), 2, 200, 4, seed=1)
     volumes = []
     for case_dir in P.list_case_dirs(tmp_path):
         case = P.load_case(case_dir)

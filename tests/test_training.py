@@ -1,7 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from mcdenoise import training as TR
+from mcdenoise import volio
 from mcdenoise.errors import ConfigError, ContractError
 from mcdenoise.model import ScaledConfig, build_proposed, forward, infer, load_checkpoint
 from mcdenoise.phantom import DoseVolume, NoisePair
@@ -95,40 +98,44 @@ def test_adam_shape_mismatch():
 
 
 def test_preprocess_noop_geometry():
+    # a crop of the padded extents leaves one window: the whole padded volume
     rng = np.random.default_rng(3)
     pair = _pair(rng)
-    cfg = TR.TrainConfig(pad=0, crop_extents=(16, 16, 8), swap_input_target=False)
+    pads = TR.effective_pads((16, 16, 8))
+    cfg = TR.TrainConfig(crop_extents=(24, 24, 12))
     x, t = TR.preprocess(pair, cfg, np.random.default_rng(0))
-    assert np.allclose(x.data[0, 0], pair.input.values / 80.0)
-    assert np.allclose(t.data[0, 0], pair.target.values / 80.0)
+    want = [np.pad(v.values / 80.0, [(p, p) for p in pads]) for v in (pair.input, pair.target)]
+    got = [x.data[0, 0], t.data[0, 0]]
+    assert any(all(np.allclose(g, w) for g, w in zip(got, order)) for order in (want, want[::-1]))
 
 
 def test_preprocess_shared_window():
     # crop a coordinate ramp: identical windows give identical crops
     ramp = np.arange(16 * 16 * 8, dtype=np.float64).reshape(16, 16, 8)
     pair = NoisePair(DoseVolume(ramp.copy()), DoseVolume(ramp.copy()), "ramp")
-    cfg = TR.TrainConfig(pad=4, crop_extents=(16, 16, 8), swap_input_target=False)
+    cfg = TR.TrainConfig(crop_extents=(16, 16, 8))
     for seed in range(5):
         x, t = TR.preprocess(pair, cfg, np.random.default_rng(seed))
         assert np.array_equal(x.data, t.data)
 
 
 def test_preprocess_effective_pads():
-    assert TR.effective_pads((256, 256, 64), 16) == (16, 16, 16)
-    assert TR.effective_pads((32, 32, 16), 16) == (8, 8, 4)
+    assert TR.effective_pads((256, 256, 64)) == (16, 16, 16)
+    assert TR.effective_pads((32, 32, 16)) == (8, 8, 4)
 
 
 def test_preprocess_swap_frequency():
     rng_data = np.random.default_rng(4)
     pair = _pair(rng_data)
-    cfg = TR.TrainConfig(pad=0, crop_extents=(16, 16, 8))
+    cfg = TR.TrainConfig(crop_extents=(24, 24, 12))  # the one window
     rng = np.random.default_rng(99)
     swapped = 0
     n = 10_000
     marker = pair.input.values[0, 0, 0] / cfg.normalization_dose
+    pads = TR.effective_pads((16, 16, 8))
     for _ in range(n):
         x, _ = TR.preprocess(pair, cfg, rng)
-        if x.data[0, 0, 0, 0, 0] != marker:
+        if x.data[(0, 0) + pads] != marker:
             swapped += 1
     assert abs(swapped / n - 0.5) <= 0.02
 
@@ -136,7 +143,7 @@ def test_preprocess_swap_frequency():
 def test_preprocess_crop_too_large():
     rng = np.random.default_rng(5)
     pair = _pair(rng, extents=(8, 8, 8))
-    cfg = TR.TrainConfig(pad=0, crop_extents=(16, 16, 8))
+    cfg = TR.TrainConfig(crop_extents=(16, 16, 8))  # the padded volume is 12x12x12
     with pytest.raises(ConfigError):
         TR.preprocess(pair, cfg, np.random.default_rng(0))
 
@@ -148,8 +155,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TR.TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
-        TR.TrainConfig(beta1=1.0)
-    with pytest.raises(ConfigError):
         TR.TrainConfig(crop_extents=(0, 4, 4))
     for seed in (-1, 2**64):  # checkpoints store the seed as u64
         with pytest.raises(ConfigError):
@@ -157,10 +162,9 @@ def test_train_config_validation():
 
 
 def test_train_config_file_roundtrip(tmp_path):
-    cfg = TR.TrainConfig(lr=3e-4, iterations=123, crop_extents=(8, 8, 8), seed=5,
-                         swap_input_target=False)
+    cfg = TR.TrainConfig(lr=3e-4, iterations=123, crop_extents=(8, 8, 8), seed=5)
     path = tmp_path / "train.cfg"
-    TR.write_train_config(cfg, path)
+    volio.write_kv(path, asdict(cfg))
     assert TR.parse_train_config(path) == cfg
 
 
@@ -179,7 +183,7 @@ def _desk_net(seed=0):
 
 
 def _desk_cfg(**kw):
-    base = dict(crop_extents=(16, 16, 8), pad=4, iterations=100, seed=1)
+    base = dict(crop_extents=(16, 16, 8), iterations=100, seed=1)
     base.update(kw)
     return TR.TrainConfig(**base)
 
