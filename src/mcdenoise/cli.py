@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from .training import (
     TrainConfig,
     check_crop,
     denoise_volume,
-    parse_extents,
-    parse_train_config,
     train,
 )
 
@@ -99,20 +96,10 @@ def cmd_phantom(args) -> int:
 # -- train ----------------------------------------------------------------------
 
 
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
-
-
-def _train_config_from_args(args) -> TrainConfig:
-    """The --config file's TrainConfig (or the default), then every flag given;
-    train's flags carry their TrainConfig field names as ``dest``."""
-    cfg = parse_train_config(args.config) if args.config else TrainConfig()
-    return replace(cfg, **{key: value for key, value in vars(args).items()
-                           if key in _TRAIN_FIELDS and value is not None})
-
-
 def cmd_train(args) -> int:
     started = time.time()
-    cfg = _train_config_from_args(args)
+    cfg = TrainConfig(lr=args.lr, iterations=args.iterations, crop_extents=args.crop_extents,
+                      seed=args.seed)
     pairs = phantom.load_dataset_pairs(args.data)
     for pair in pairs:
         check_crop(pair.input.extents, cfg)
@@ -127,7 +114,7 @@ def cmd_train(args) -> int:
             print(f"step {step}: loss {value:.6g}")
 
     train(net, pairs, cfg, log_path=loss_log, checkpoint_path=checkpoint, progress=progress)
-    _write_manifest(out, args, started, **asdict(cfg), checkpoint=checkpoint, loss_log=loss_log)
+    _write_manifest(out, args, started, checkpoint=checkpoint, loss_log=loss_log)
     print(f"checkpoint written to {checkpoint}")
     return EXIT_OK
 
@@ -286,11 +273,18 @@ _repeats = _int_flag(perf.MIN_REPEATS)
 
 
 def _extents(text: str) -> tuple[int, int, int]:
-    """An HxWxD flag; argparse reports malformed text as a usage error."""
+    """An HxWxD flag of three positive integers; argparse reports malformed
+    text as a usage error."""
+    parts = text.lower().split("x")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"extents must look like 32x32x16, got {text!r}")
     try:
-        return parse_extents(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        extents = tuple(int(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"extents must be integers, got {text!r}") from None
+    if any(e < 1 for e in extents):
+        raise argparse.ArgumentTypeError(f"extents must be positive, got {text!r}")
+    return extents
 
 
 def _realizations(text: str) -> int:
@@ -305,9 +299,9 @@ _FORMATS_EPILOG = (
     "file formats: DVOL dose volumes and DMSK masks are little-endian binaries "
     "(magic, u32 version, u32 HxWxD extents, f32 voxel sizes in mm, u64 histories, "
     "u64 seed, then f32 values row-major); DDPK checkpoints hold the network tag, "
-    "base features, depth, seed, and per-layer f64 weights; run manifests, case "
-    "manifests and --config files are UTF-8 key=value lines (blank lines and # "
-    "comments skipped, a repeated key rejected, written atomically); CSV outputs "
+    "base features, depth, seed, and per-layer f64 weights; run manifests and case "
+    "manifests are UTF-8 key=value lines (blank lines and # comments skipped, a "
+    "repeated key rejected, written atomically); CSV outputs "
     "carry a header row; slice images are binary 8-bit PGM."
 )
 
@@ -341,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[PROPOSED, UNET_BASELINE], default=PROPOSED)
     p.add_argument("--features", type=_positive_int, default=8, help="base feature count")
     p.add_argument("--down", type=_positive_int, default=DESK_NUM_DOWN, help="downsampling module count")
-    p.add_argument("--config", help="key=value TrainConfig file; flags win")
-    p.add_argument("--iterations", type=_int_flag(0))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--crop", type=_extents, dest="crop_extents", help="training crop extents HxWxD")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--iterations", type=_int_flag(0), default=TrainConfig.iterations)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--crop", type=_extents, dest="crop_extents", default=TrainConfig.crop_extents,
+                   help="training crop extents HxWxD")
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("denoise", help="apply a checkpoint to one DVOL volume",

@@ -23,19 +23,12 @@ def _as_values(volume) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def mse(a, b, mask=None) -> float:
-    """Mean squared voxel difference, optionally restricted to a mask."""
+def mse(a, b) -> float:
+    """Mean squared voxel difference."""
     av, bv = _as_values(a), _as_values(b)
     if av.shape != bv.shape:
         raise ContractError(f"mse: extent mismatch {av.shape} vs {bv.shape}")
     diff = av - bv
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != av.shape:
-            raise ContractError("mse: mask extent mismatch")
-        if not mask.any():
-            raise ContractError("mse: empty mask")
-        diff = diff[mask]
     return float(np.mean(np.square(diff, out=diff)))
 
 

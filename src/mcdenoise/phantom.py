@@ -333,12 +333,18 @@ def list_case_dirs(dataset_dir) -> list[str]:
 
 
 def load_dataset_pairs(dataset_dir) -> list[NoisePair]:
-    """The training pairs of every case: its realizations 0 and 1, 2 and 3, and so on."""
+    """The training pairs of every case: its realizations 0 and 1, 2 and 3, and so on.
+
+    A case whose manifest lists a realization count that does not pair
+    (``check_realization_count``) is a ``FormatError`` naming the manifest.
+    """
     pairs = []
     for case_dir in list_case_dirs(dataset_dir):
         case = load_case(case_dir)
-        for a in range(0, len(case.noisy) - 1, 2):
+        try:
+            check_realization_count(len(case.noisy))
+        except ConfigError as exc:
+            raise FormatError(f"{os.path.join(case_dir, MANIFEST_NAME)}: {exc}") from None
+        for a in range(0, len(case.noisy), 2):
             pairs.append(NoisePair(case.noisy[a], case.noisy[a + 1], case.case_id))
-    if not pairs:
-        raise FormatError(f"no noise pairs found under {dataset_dir}")
     return pairs

@@ -13,12 +13,11 @@ the ``TrainConfig`` fields vary from run to run.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from . import volio
 from .errors import ConfigError, ContractError, NumericError
 from .model import NetworkGraph, forward, infer, save_checkpoint
 from .phantom import DEFAULT_PRESCRIPTION_GY, NoisePair
@@ -49,38 +48,6 @@ class TrainConfig:
             raise ConfigError(f"bad crop extents {self.crop_extents}")
         if not 0 <= self.seed < 2**64:  # checkpoints store it as u64
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-
-
-def parse_extents(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
-        raise ConfigError(f"extents must look like 32x32x16, got {text!r}")
-    try:
-        extents = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"extents must be integers, got {text!r}") from exc
-    if any(e < 1 for e in extents):
-        raise ConfigError(f"extents must be positive, got {text!r}")
-    return extents
-
-
-# TrainConfig's field types, each with the parser of its text
-_PARSERS = {int: int, float: float, tuple[int, int, int]: parse_extents}
-
-
-def parse_train_config(path) -> TrainConfig:
-    """Read a key=value file (``volio.read_kv``) holding TrainConfig fields;
-    an unknown key or a value that does not parse is a ``ConfigError``."""
-    types = {f.name: f.type for f in fields(TrainConfig)}
-    updates = {}
-    for key, text in volio.read_kv(path).items():
-        if key not in types:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-        try:
-            updates[key] = _PARSERS[types[key]](text)
-        except ValueError as exc:  # ConfigError from parse_extents too
-            raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from None
-    return TrainConfig(**updates)
 
 
 # -- loss and optimizer ----------------------------------------------------------
@@ -129,6 +96,12 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig):
 # -- preprocessing -----------------------------------------------------------------
 
 
+def to_network_units(dose_gy: np.ndarray) -> np.ndarray:
+    """A new array of ``dose_gy`` in the network's units: Gy times one over
+    the prescription dose, the one conversion training and inference share."""
+    return dose_gy * (1.0 / DEFAULT_PRESCRIPTION_GY)
+
+
 def effective_pads(extents) -> tuple[int, ...]:
     return tuple(min(PAD, e // 4) for e in extents)
 
@@ -146,10 +119,10 @@ def check_crop(extents, cfg: TrainConfig):
 def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     """Normalize, pad, apply one shared random crop, and maybe swap roles.
 
-    Both volumes are divided by the prescription dose, zero-padded by
-    min(PAD, extent // 4) per dimension, and cropped with the same window
-    so input and target stay aligned. The roles are then exchanged with
-    probability one half.
+    Both volumes are converted to network units (``to_network_units``),
+    zero-padded by min(PAD, extent // 4) per dimension, and cropped with the
+    same window so input and target stay aligned. The roles are then
+    exchanged with probability one half.
     """
     a, b = pair.input.values, pair.target.values
     if a.shape != b.shape:
@@ -160,9 +133,8 @@ def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
 
     pad_width = [(p, p) for p in pads]
     window = tuple(slice(o, o + c) for o, c in zip(offsets, crop))
-    scale = 1.0 / DEFAULT_PRESCRIPTION_GY
-    xa = np.pad(a * scale, pad_width)[window]
-    xb = np.pad(b * scale, pad_width)[window]
+    xa = np.pad(to_network_units(a), pad_width)[window]
+    xb = np.pad(to_network_units(b), pad_width)[window]
     if rng.random() < 0.5:
         xa, xb = xb, xa
     return Tensor(xa[None, None]), Tensor(xb[None, None])
@@ -220,14 +192,14 @@ def write_loss_log(log, path):
 
 
 def denoise_volume(net: NetworkGraph, values: np.ndarray):
-    """Divide by the prescription dose, run the network without the tape
-    (``model.infer``), and return the denoised grid in Gy.
+    """Convert to network units (``to_network_units``), run the network
+    without the tape (``model.infer``), and return the denoised grid in Gy.
 
     The network output is unconstrained; the dose map is clamped to be
     nonnegative here rather than inside the net. ``infer``'s output
     belongs to the caller, so it is clamped and scaled in place.
     """
-    out = infer(net, values[None, None] / DEFAULT_PRESCRIPTION_GY)[0, 0]
+    out = infer(net, to_network_units(values[None, None]))[0, 0]
     np.clip(out, 0.0, None, out=out)
     out *= DEFAULT_PRESCRIPTION_GY
     return out

@@ -1,5 +1,5 @@
 """File formats: DVOL dose volumes, DMSK masks, PGM slice images, and the
-``key=value`` text of run manifests, case manifests and train configs.
+``key=value`` text of run manifests and case manifests.
 
 DVOL layout (little-endian): magic ``DVOL``, u32 version=1, u32 H, u32 W,
 u32 D, three f32 voxel sizes in mm, u64 histories (0 means clean), u64

@@ -1,18 +1,20 @@
+import argparse
 import hashlib
 import os
+import re
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcdenoise import volio
-from mcdenoise.cli import main
+from mcdenoise import phantom, volio
+from mcdenoise.cli import build_parser, main
 from mcdenoise.model import ScaledConfig, build_proposed, save_checkpoint
-from mcdenoise.training import TrainConfig
 from mcdenoise.volio import read_kv
 
 from helpers import guard_build_network
@@ -276,6 +278,28 @@ def test_unknown_command_usage_error():
     assert proc.returncode == 2
 
 
+def test_readme_flags_are_real():
+    # the README's example runs parse, and every flag it names exists, so a
+    # removed flag cannot stay documented
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = set(parser._option_string_actions)
+    for command in sub.choices.values():
+        options |= set(command._option_string_actions)
+    (example,) = [b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "mcdenoise " in b]
+    runs = [line for line in example.replace("\\\n", " ").splitlines() if line.strip()]
+    assert runs and all(line.startswith("mcdenoise ") for line in runs)
+    for line in runs:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README run does not parse: {line}")
+    prose = "\n".join(line for line in text.splitlines() if "pip install" not in line)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
+    assert named - options == set()
+
+
 # -- train / eval wiring (tiny run) ---------------------------------------------------------
 
 
@@ -308,15 +332,22 @@ def test_train_outputs(tiny_pipeline):
 
 
 def test_train_replays_from_its_manifest(tiny_pipeline, tmp_path):
-    # the manifest's TrainConfig entries, read back as a --config file, rerun the same training
+    # the manifest's entries, given back as train's flags, rerun the same training
     _, _, _, run_dir = tiny_pipeline
     manifest = read_kv(run_dir / "run_manifest.txt")
-    cfg_file = tmp_path / "replay.cfg"
-    volio.write_kv(cfg_file, {f.name: manifest[f.name] for f in fields(TrainConfig)})
     replay = tmp_path / "replay"
-    run_cli("train", "--data", manifest["data"], "--model", manifest["model"],
-            "--features", manifest["features"], "--down", manifest["down"],
-            "--config", cfg_file, "--out", replay)
+    run_cli(
+        manifest["command"],
+        "--data", manifest["data"],
+        "--model", manifest["model"],
+        "--features", manifest["features"],
+        "--down", manifest["down"],
+        "--lr", manifest["lr"],
+        "--iterations", manifest["iterations"],
+        "--crop", manifest["crop_extents"],
+        "--seed", manifest["seed"],
+        "--out", replay,
+    )
     for name in ("checkpoint.ddpk", "loss.csv"):
         assert (replay / name).read_bytes() == (run_dir / name).read_bytes()
 
@@ -329,34 +360,32 @@ def test_train_does_not_mutate_inputs(tiny_pipeline, tmp_path):
     assert tree_digest(train_ds) == before
 
 
-def test_train_config_file_flag(tiny_pipeline, tmp_path):
-    root, train_ds, _, _ = tiny_pipeline
-    cfg_file = tmp_path / "train.cfg"
-    cfg_file.write_text("iterations=50\nlr=2e-4\ncrop_extents=16x16x8\nseed=4\n")
+def test_train_config_flag_is_a_usage_error(tiny_pipeline, tmp_path):
+    # train's flags are the one way to set a TrainConfig
+    _, train_ds, _, _ = tiny_pipeline
     out = tmp_path / "out"
-    run_cli("train", "--data", train_ds, "--out", out, "--features", 4, "--down", 2,
-            "--config", cfg_file)
-    manifest = read_kv(out / "run_manifest.txt")
-    assert manifest["iterations"] == "50"
-    assert manifest["lr"] == "0.0002"
-    # flags still win over the file
-    out2 = tmp_path / "out2"
-    run_cli("train", "--data", train_ds, "--out", out2, "--features", 4, "--down", 2,
-            "--config", cfg_file, "--iterations", 20)
-    assert read_kv(out2 / "run_manifest.txt")["iterations"] == "20"
+    proc = run_cli("train", "--data", train_ds, "--config", tmp_path / "train.cfg", "--out", out,
+                   check=False)
+    assert proc.returncode == 2
+    assert "--config" in proc.stderr
+    assert not out.exists()
 
 
-def test_train_rejects_unknown_config_key(tiny_pipeline, tmp_path):
-    root, train_ds, _, _ = tiny_pipeline
-    cfg_file = tmp_path / "bad.cfg"
-    # the dose scale is the prescription, a constant: no file sets it
-    for key in ("warmup", "normalization_dose"):
-        cfg_file.write_text(f"{key}=100\n")
-        proc = run_cli("train", "--data", train_ds, "--out", tmp_path / "o",
-                       "--config", cfg_file, check=False)
-        assert proc.returncode == 3
-        assert f"unknown key {key!r}" in proc.stderr
-        assert not (tmp_path / "o").exists()
+@pytest.mark.parametrize("case, realizations", [("case_000", 1), ("case_001", 3)])
+def test_train_rejects_a_case_that_does_not_pair(tmp_path, case, realizations):
+    # load_dataset_pairs silently dropped the odd realization, or the whole case
+    data = tmp_path / "ds"
+    phantom.generate_dataset(data, (16, 16, 8), 2, 100, pairs_per_case=4, seed=5)
+    manifest = data / case / phantom.MANIFEST_NAME
+    entries = read_kv(manifest)
+    for r in range(realizations, 4):
+        del entries[f"noisy_{r}"]
+    volio.write_kv(manifest, entries)
+    out = tmp_path / "out"
+    proc = run_cli("train", "--data", data, "--iterations", 1, "--out", out, check=False)
+    assert proc.returncode == 3
+    assert f"{manifest}: noisy realizations per case must be even" in proc.stderr
+    assert not out.exists()
 
 
 def test_train_reproducible(tiny_pipeline, tmp_path):
@@ -488,34 +517,15 @@ def test_data_errors_leave_no_out_directory(tiny_pipeline, tmp_path, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, config", [
-    (["--lr", "nan"], None),  # these ran one step and exited 4 with an empty run directory
-    (["--lr", "inf"], None),
-    ([], "lr=nan\n"),
-    ([], "lr=inf\n"),
-], ids=["lr-nan", "lr-inf", "config-lr-nan", "config-lr-inf"])
-def test_train_rejects_non_finite_config(tiny_pipeline, tmp_path, flags, config):
+# these ran one step and exited 4 with an empty run directory
+@pytest.mark.parametrize("lr", ["nan", "inf"], ids=["lr-nan", "lr-inf"])
+def test_train_rejects_non_finite_config(tiny_pipeline, tmp_path, lr):
     _, train_ds, _, _ = tiny_pipeline
-    if config is not None:
-        cfg_file = tmp_path / "train.cfg"
-        cfg_file.write_text(config)
-        flags = flags + ["--config", cfg_file]
     out = tmp_path / "out"
-    proc = run_cli("train", "--data", train_ds, "--iterations", 1, *flags, "--out", out, check=False)
+    proc = run_cli("train", "--data", train_ds, "--iterations", 1, "--lr", lr, "--out", out,
+                   check=False)
     assert proc.returncode == 3
     assert "must be positive and finite" in proc.stderr
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["beta1", "beta2", "adam_eps", "pad", "swap_input_target"])
-def test_train_config_rejects_keys_that_are_constants(tiny_pipeline, tmp_path, key):
-    _, train_ds, _, _ = tiny_pipeline
-    cfg_file = tmp_path / "train.cfg"
-    cfg_file.write_text(f"lr=1e-4\n{key}=1\n")
-    out = tmp_path / "out"
-    proc = run_cli("train", "--data", train_ds, "--config", cfg_file, "--out", out, check=False)
-    assert proc.returncode == 3
-    assert f"unknown key '{key}'" in proc.stderr
     assert not out.exists()
 
 

@@ -34,16 +34,11 @@ def test_mse_matches_loop_oracle():
         assert abs(MT.mse(a, b) - direct) < 1e-12
 
 
-def test_mse_mask_and_errors():
+def test_mse_rejects_extent_mismatch():
     rng = np.random.default_rng(2)
     a, b = _random_volume(rng), _random_volume(rng)
-    mask = np.zeros(a.shape, dtype=bool)
-    mask[:2] = True
-    assert abs(MT.mse(a, b, mask) - np.mean((a[mask] - b[mask]) ** 2)) < 1e-15
     with pytest.raises(ContractError):
         MT.mse(a, b[:4])
-    with pytest.raises(ContractError):
-        MT.mse(a, b, np.zeros(a.shape, dtype=bool))
 
 
 # -- dvh ---------------------------------------------------------------------------

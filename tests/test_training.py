@@ -1,10 +1,7 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
 from mcdenoise import training as TR
-from mcdenoise import volio
 from mcdenoise.errors import ConfigError, ContractError
 from mcdenoise.model import ScaledConfig, build_proposed, forward, infer, load_checkpoint
 from mcdenoise.phantom import DoseVolume, NoisePair
@@ -131,7 +128,7 @@ def test_preprocess_swap_frequency():
     rng = np.random.default_rng(99)
     swapped = 0
     n = 10_000
-    marker = pair.input.values[0, 0, 0] / cfg.normalization_dose
+    marker = TR.to_network_units(pair.input.values[0, 0, 0])
     pads = TR.effective_pads((16, 16, 8))
     for _ in range(n):
         x, _ = TR.preprocess(pair, cfg, rng)
@@ -148,7 +145,7 @@ def test_preprocess_crop_too_large():
         TR.preprocess(pair, cfg, np.random.default_rng(0))
 
 
-# -- config file -----------------------------------------------------------------------
+# -- config ----------------------------------------------------------------------------
 
 
 def test_train_config_validation():
@@ -159,20 +156,6 @@ def test_train_config_validation():
     for seed in (-1, 2**64):  # checkpoints store the seed as u64
         with pytest.raises(ConfigError):
             TR.TrainConfig(seed=seed)
-
-
-def test_train_config_file_roundtrip(tmp_path):
-    cfg = TR.TrainConfig(lr=3e-4, iterations=123, crop_extents=(8, 8, 8), seed=5)
-    path = tmp_path / "train.cfg"
-    volio.write_kv(path, asdict(cfg))
-    assert TR.parse_train_config(path) == cfg
-
-
-def test_train_config_unknown_key_rejected(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("lr=1e-4\nmomentum=0.9\n")
-    with pytest.raises(ConfigError):
-        TR.parse_train_config(path)
 
 
 # -- training loop -----------------------------------------------------------------------
@@ -266,7 +249,7 @@ def test_denoise_volume_roundtrip_scale():
 def test_denoise_volume_clamps_and_scales_infer_output_in_place():
     net = _desk_net(seed=8)
     values = np.random.default_rng(14).uniform(0.0, 80.0, size=(16, 16, 8))
-    want = np.clip(infer(net, values[None, None] / 80.0)[0, 0], 0.0, None) * 80.0
+    want = np.clip(infer(net, values[None, None] * (1 / 80.0))[0, 0], 0.0, None) * 80.0
     got = TR.denoise_volume(net, values)
     assert got.tobytes() == want.tobytes()
     assert np.any(want == 0.0) and np.all(got >= 0.0)  # the clamp ran
