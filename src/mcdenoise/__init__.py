@@ -21,8 +21,6 @@ from .tensor import Tensor, backward, concat
 from .kernels import (
     ConvSpec,
     conv3d,
-    conv_axial,
-    conv_slice,
     instance_norm,
     make_conv_spec,
     upsample_trilinear,

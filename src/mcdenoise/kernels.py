@@ -440,22 +440,6 @@ def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool 
     return buffers.result(out, (x,) + spec.tensors(), _bw)
 
 
-def conv_axial(x: Tensor, spec: ConvSpec) -> Tensor:
-    """2-D in-plane convolution: kernel (k, k, 1)."""
-    kh, kw, kd = spec.kernel
-    if kd != 1 or kh != kw:
-        raise ContractError(f"axial conv needs a (k, k, 1) kernel, got {spec.kernel}")
-    return conv3d(x, spec)
-
-
-def conv_slice(x: Tensor, spec: ConvSpec) -> Tensor:
-    """1-D through-plane convolution: kernel (1, 1, k)."""
-    kh, kw, _ = spec.kernel
-    if kh != 1 or kw != 1:
-        raise ContractError(f"slice conv needs a (1, 1, k) kernel, got {spec.kernel}")
-    return conv3d(x, spec)
-
-
 # -- instance normalization ----------------------------------------------------
 
 

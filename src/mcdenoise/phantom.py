@@ -296,7 +296,9 @@ def load_reference(case_dir) -> CaseFiles:
 def _read_case(case_dir, realizations: bool) -> CaseFiles:
     manifest = os.path.join(case_dir, MANIFEST_NAME)
     entries = volio.read_kv(manifest)
-    for key in ("clean", "ptv_mask", "body_mask"):
+    # the realizations are noisy_0 ... noisy_{n-1}, none missing, whether read or not
+    noisy_keys = [f"noisy_{r}" for r in range(sum(key.startswith("noisy_") for key in entries))]
+    for key in ("clean", "ptv_mask", "body_mask", *noisy_keys):
         if key not in entries:
             raise FormatError(f"{manifest}: missing key {key!r}")
 
@@ -312,9 +314,7 @@ def _read_case(case_dir, realizations: bool) -> CaseFiles:
     clean = vol("clean")
     ptv, _ = volio.read_dmsk(path("ptv_mask"))
     body, _ = volio.read_dmsk(path("body_mask"))
-    noisy = []
-    while realizations and f"noisy_{len(noisy)}" in entries:
-        noisy.append(vol(f"noisy_{len(noisy)}"))
+    noisy = [vol(key) for key in noisy_keys] if realizations else []
     if any(a.shape != clean.extents for a in [ptv, body] + [n.values for n in noisy]):
         raise FormatError(f"{manifest}: the case's volumes and masks differ in extents")
     return CaseFiles(os.path.basename(os.path.normpath(case_dir)), clean, noisy, ptv, body)

@@ -7,10 +7,14 @@ the tape: ``backward`` visits it exactly once in reverse topological
 order and accumulates gradients additively into every leaf that requested
 them. Everything runs in float64; gradient checks need the headroom.
 
+The ops: this module holds the tape and three ops, ``relu``, ``concat``
+and ``mul``; ``kernels`` holds the network's other layers and
+``training.n2n_loss`` the loss. Each is one taped op with its own adjoint.
+
 Gradient ownership: a backward closure never writes to the gradient it
 receives, nor to an array it passes on, because one array may reach
-several nodes (``add`` hands the same gradient to both operands,
-``concat`` hands out views of its own). An interior node starts each
+several nodes (``concat`` hands out views of its own, two of them to a
+tensor it joins with itself). An interior node starts each
 traversal without a gradient, stores the first array it is given as is,
 and combines later ones out of place (``grad = grad + g``). Only leaves
 own their gradient buffers and accumulate into them in place.
@@ -92,40 +96,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, other)
-
-    def __rmul__(self, other):
-        return scalar_mul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def relu(self):
-        return relu(self)
-
-    def square(self):
-        return square(self)
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def mean(self):
-        return mean(self)
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -211,12 +181,6 @@ def zero_grads(tensors):
         t.zero_grad()
 
 
-def _result(data, parents, backward_fn) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
-    return Tensor(data)
-
-
 class Buffers:
     """Where an op's output and temporaries come from, and whether it records the tape.
 
@@ -232,7 +196,9 @@ class Buffers:
         return np.empty(shape, dtype)
 
     def result(self, data, parents, backward_fn) -> Tensor:
-        return _result(data, parents, backward_fn)
+        if any(p.requires_grad for p in parents):
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
+        return Tensor(data)
 
 
 FRESH = Buffers()
@@ -256,40 +222,11 @@ class Untaped(Buffers):
         return Tensor(data)
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.shape != b.shape:
-        raise ContractError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-# -- elementwise and reduction ops -------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
-
-    return _result(a.data + b.data, (a, b), _bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _result(a.data - b.data, (a, b), _bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
+    """Elementwise product. No layer calls it; perfbench's tape-footprint
+    test builds its two-node tape from it."""
+    if a.shape != b.shape:
+        raise ContractError(f"mul: shape mismatch {a.shape} vs {b.shape}")
 
     def _bw(g):
         if a.requires_grad:
@@ -297,17 +234,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g * a.data)
 
-    return _result(a.data * b.data, (a, b), _bw)
-
-
-def scalar_mul(a: Tensor, s) -> Tensor:
-    s = float(s)
-
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, g * s)
-
-    return _result(a.data * s, (a,), _bw)
+    return FRESH.result(a.data * b.data, (a, b), _bw)
 
 
 def relu(a: Tensor, buffers: Buffers = FRESH) -> Tensor:
@@ -321,32 +248,6 @@ def relu(a: Tensor, buffers: Buffers = FRESH) -> Tensor:
             _accumulate(a, g * mask)
 
     return buffers.result(np.maximum(a.data, 0.0, out=buffers.output(a.shape)), (a,), _bw)
-
-
-def square(a: Tensor) -> Tensor:
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, 2.0 * a.data * g)
-
-    return _result(a.data * a.data, (a,), _bw)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, np.full(a.data.shape, float(g.reshape(()))))
-
-    return _result(np.array(a.data.sum()).reshape((1,)), (a,), _bw)
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def _bw(g):
-        if a.requires_grad:
-            _accumulate(a, np.full(a.data.shape, float(g.reshape(())) / n))
-
-    return _result(np.array(a.data.mean()).reshape((1,)), (a,), _bw)
 
 
 def concat(tensors, buffers: Buffers = FRESH) -> Tensor:

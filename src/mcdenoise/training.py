@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError
 from .model import NetworkGraph, forward, infer, save_checkpoint
 from .phantom import DEFAULT_PRESCRIPTION_GY, NoisePair
-from .tensor import Tensor, backward, zero_grads, zeros_in_order
+from .tensor import FRESH, Tensor, _accumulate, backward, zero_grads, zeros_in_order
 
 LOG_EVERY = 50
 ADAM_BETAS = (0.9, 0.999)
@@ -54,10 +54,26 @@ class TrainConfig:
 
 
 def n2n_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all voxels."""
+    """Mean squared error over all voxels, one taped op.
+
+    Its backward recomputes ``pred - target`` rather than keep it, as a
+    closure reads only its op's inputs and output (see ``tensor``).
+    """
     if pred.shape != target.shape:
         raise ContractError(f"n2n_loss: shape mismatch {pred.shape} vs {target.shape}")
-    return (pred - target).square().mean()
+    sq = np.subtract(pred.data, target.data)
+    np.square(sq, out=sq)
+
+    def _bw(g):
+        dp = np.subtract(pred.data, target.data)
+        dp *= 2.0
+        dp *= float(g.reshape(())) / dp.size
+        if pred.requires_grad:
+            _accumulate(pred, dp)
+        if target.requires_grad:
+            _accumulate(target, -dp)
+
+    return FRESH.result(np.array(sq.mean()).reshape((1,)), (pred, target), _bw)
 
 
 class AdamState:

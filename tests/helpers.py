@@ -8,7 +8,7 @@ that keeps checkpoint tests from building a corrupt header's network.
 
 import numpy as np
 
-from mcdenoise import model
+from mcdenoise import model, training
 from mcdenoise.tensor import Tensor, backward, zero_grads
 
 
@@ -32,6 +32,11 @@ def finite_difference_grads(fn, tensors, eps=1e-5):
             g[i] = (up - down) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+def mean_square(t):
+    """The gradchecks' scalar: the mean of ``t``'s squares, ``n2n_loss`` against zeros."""
+    return training.n2n_loss(t, Tensor(np.zeros(t.shape)))
 
 
 def relative_error(a, b):

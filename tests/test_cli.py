@@ -388,6 +388,20 @@ def test_train_rejects_a_case_that_does_not_pair(tmp_path, case, realizations):
     assert not out.exists()
 
 
+def test_train_rejects_a_gap_in_the_realizations(tmp_path):
+    data = tmp_path / "ds"
+    phantom.generate_dataset(data, (16, 16, 8), 1, 100, pairs_per_case=4, seed=5)
+    manifest = data / "case_000" / phantom.MANIFEST_NAME
+    entries = read_kv(manifest)
+    del entries["noisy_2"]
+    volio.write_kv(manifest, entries)
+    out = tmp_path / "out"
+    proc = run_cli("train", "--data", data, "--iterations", 1, "--out", out, check=False)
+    assert proc.returncode == 3
+    assert f"{manifest}: missing key 'noisy_2'" in proc.stderr
+    assert not out.exists()
+
+
 def test_train_reproducible(tiny_pipeline, tmp_path):
     root, train_ds, _, run_dir = tiny_pipeline
     rerun = tmp_path / "rerun"

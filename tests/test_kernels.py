@@ -11,6 +11,7 @@ from helpers import (
     instance_norm_loops,
     lerp_axis_adjoint_scatter,
     lerp_axis_take,
+    mean_square,
     trilinear_loops,
 )
 
@@ -265,19 +266,11 @@ def test_make_conv_spec_needs_channels(c_in, c_out):
 # -- axial and slice convolutions ------------------------------------------------------
 
 
-def test_axial_slice_kernel_patterns():
-    rng = np.random.default_rng(7)
-    with pytest.raises(ContractError):
-        K.conv_axial(Tensor(np.zeros((1, 1, 4, 4, 4))), _spec(rng, 1, 1, (1, 1, 3), (1, 1, 1)))
-    with pytest.raises(ContractError):
-        K.conv_slice(Tensor(np.zeros((1, 1, 4, 4, 4))), _spec(rng, 1, 1, (3, 3, 1), (1, 1, 1)))
-
-
 def test_axial_stride_shapes():
     rng = np.random.default_rng(8)
-    out = K.conv_axial(Tensor(np.zeros((1, 1, 8, 8, 8))), _spec(rng, 1, 4, (3, 3, 1), (2, 2, 1)))
+    out = K.conv3d(Tensor(np.zeros((1, 1, 8, 8, 8))), _spec(rng, 1, 4, (3, 3, 1), (2, 2, 1)))
     assert out.shape == (1, 4, 4, 4, 8)
-    out = K.conv_slice(Tensor(np.zeros((1, 1, 4, 4, 8))), _spec(rng, 1, 4, (1, 1, 3), (1, 1, 2)))
+    out = K.conv3d(Tensor(np.zeros((1, 1, 4, 4, 8))), _spec(rng, 1, 4, (1, 1, 3), (1, 1, 2)))
     assert out.shape == (1, 4, 4, 4, 4)
 
 
@@ -301,7 +294,7 @@ def test_separable_composition_equals_conv3d():
             Tensor((g[:, :, None] * f[None, None, :])[None, None]),
             Tensor(np.zeros(1)),
         )
-        composed = K.conv_slice(K.conv_axial(Tensor(x), axial), slc).data
+        composed = K.conv3d(K.conv3d(Tensor(x), axial), slc).data
         direct = K.conv3d(Tensor(x), full).data
         assert np.max(np.abs(composed - direct)) < 1e-10
 
@@ -309,8 +302,8 @@ def test_separable_composition_equals_conv3d():
 def test_stride_ledger_matches_single_downsampling():
     rng = np.random.default_rng(10)
     x = Tensor(np.zeros((1, 4, 8, 8, 8)))
-    axial = K.conv_axial(x, _spec(rng, 4, 4, (3, 3, 1), (2, 2, 1)))
-    decoupled = K.conv_slice(axial, _spec(rng, 4, 4, (1, 1, 3), (1, 1, 2)))
+    axial = K.conv3d(x, _spec(rng, 4, 4, (3, 3, 1), (2, 2, 1)))
+    decoupled = K.conv3d(axial, _spec(rng, 4, 4, (1, 1, 3), (1, 1, 2)))
     regular = K.conv3d(x, _spec(rng, 4, 4, (3, 3, 3), (2, 2, 2)))
     assert decoupled.shape == regular.shape == (1, 4, 4, 4, 4)
 
@@ -426,7 +419,7 @@ def test_gradcheck_conv3d():
         x = _rand(rng, (1, 2, 4, 4, 3), requires_grad=True)
         spec = _spec(rng, 2, 2, (3, 3, 3), (1, 1, 1))
         check_gradients(
-            lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias]
+            lambda: mean_square(K.conv3d(x, spec)), [x, spec.weights, spec.bias]
         )
 
 
@@ -437,7 +430,7 @@ def test_gradcheck_conv_strided():
     for shape, c_out, stride in [((1, 2, 4, 4, 4), 3, (2, 2, 2)), ((1, 2, 2, 3, 2), 5, (2, 1, 2))]:
         x = _rand(rng, shape, requires_grad=True)
         spec = _spec(rng, shape[1], c_out, (3, 3, 3), stride)
-        check_gradients(lambda: K.conv3d(x, spec).square().mean(), [x, spec.weights, spec.bias])
+        check_gradients(lambda: mean_square(K.conv3d(x, spec)), [x, spec.weights, spec.bias])
 
 
 def test_gradcheck_conv_kn2row():
@@ -446,12 +439,12 @@ def test_gradcheck_conv_kn2row():
     x = _rand(rng, (1, 9, 3, 4, 3), requires_grad=True)
     spec = _spec(rng, 9, 1, (3, 3, 1), (1, 1, 1))
     assert K.coarse_first(spec, x.shape)
-    check_gradients(lambda: K.conv3d(x, spec, upsampled=True).square().mean(),
+    check_gradients(lambda: mean_square(K.conv3d(x, spec, upsampled=True)),
                     [x, spec.weights, spec.bias])
     for shape, c_out, kernel in [((2, 2, 2, 2, 2), 2, (3, 3, 3)), ((1, 3, 2, 1, 3), 2, (1, 1, 3))]:
         x = _rand(rng, shape, requires_grad=True)
         spec = _spec(rng, shape[1], c_out, kernel, (1, 1, 1))
-        check_gradients(lambda: K.conv3d(x, spec, upsampled=True).square().mean(),
+        check_gradients(lambda: mean_square(K.conv3d(x, spec, upsampled=True)),
                         [x, spec.weights, spec.bias])
 
 
@@ -461,7 +454,7 @@ def test_gradcheck_axial_and_slice():
     a = _spec(rng, 2, 2, (3, 3, 1), (2, 2, 1))
     s = _spec(rng, 2, 2, (1, 1, 3), (1, 1, 2))
     check_gradients(
-        lambda: K.conv_slice(K.conv_axial(x, a), s).square().mean(),
+        lambda: mean_square(K.conv3d(K.conv3d(x, a), s)),
         [x, a.weights, a.bias, s.weights, s.bias],
     )
 
@@ -471,24 +464,24 @@ def test_gradcheck_instance_norm():
     x = _rand(rng, (1, 2, 3, 3, 2), requires_grad=True)
     scale = Tensor(rng.normal(1.0, 0.2, 2), requires_grad=True)
     shift = Tensor(rng.normal(0.0, 0.2, 2), requires_grad=True)
-    check_gradients(lambda: K.instance_norm(x, scale, shift).square().mean(), [x, scale, shift])
+    check_gradients(lambda: mean_square(K.instance_norm(x, scale, shift)), [x, scale, shift])
 
 
 def test_gradcheck_upsample():
     rng = np.random.default_rng(18)
     x = _rand(rng, (1, 2, 3, 3, 2), requires_grad=True)
-    check_gradients(lambda: K.upsample_trilinear(x).square().mean(), [x])
+    check_gradients(lambda: mean_square(K.upsample_trilinear(x)), [x])
 
 
 def test_gradcheck_upsample_extent_one_axis():
     rng = np.random.default_rng(22)
     x = _rand(rng, (1, 2, 1, 3, 2), requires_grad=True)
-    check_gradients(lambda: K.upsample_trilinear(x).square().mean(), [x])
+    check_gradients(lambda: mean_square(K.upsample_trilinear(x)), [x])
 
 
 def test_gradcheck_shuffles():
     rng = np.random.default_rng(19)
     x = _rand(rng, (1, 1, 4, 4, 2), requires_grad=True)
-    check_gradients(lambda: K.voxel_unshuffle(x).square().mean(), [x])
+    check_gradients(lambda: mean_square(K.voxel_unshuffle(x)), [x])
     y = _rand(rng, (1, 8, 2, 2, 2), requires_grad=True)
-    check_gradients(lambda: K.voxel_shuffle(y).square().mean(), [y])
+    check_gradients(lambda: mean_square(K.voxel_shuffle(y)), [y])

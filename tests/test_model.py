@@ -603,7 +603,7 @@ def test_conv_weights_stay_tap_major(tmp_path, monkeypatch, block):
     params = net.param_tensors()
     state = training.AdamState(params)
     x = Tensor(np.random.default_rng(6).normal(size=(1, 1) + DESK.input_extents))
-    training.n2n_loss(M.forward(net, x), x).backward()
+    backward(training.n2n_loss(M.forward(net, x), x))
     training.adam_step(params, state, training.TrainConfig())
     assert_tap_major(convs)
     # gradients and Adam moments step through memory as their weights do

@@ -171,6 +171,19 @@ def test_generate_dataset_rejects_counts_training_cannot_pair(tmp_path, count):
     assert not (tmp_path / "ds").exists()
 
 
+def test_a_gap_in_the_realizations_is_a_format_error(tmp_path):
+    # the reader stopped at the gap: noisy_0 and noisy_1 made one pair, noisy_3 went unread
+    P.generate_dataset(tmp_path, (16, 16, 8), 1, 200, 4, seed=3)
+    case_dir = P.list_case_dirs(tmp_path)[0]
+    manifest = tmp_path / "case_000" / P.MANIFEST_NAME
+    entries = volio.read_kv(manifest)
+    del entries["noisy_2"]
+    volio.write_kv(manifest, entries)
+    for load in (P.load_dataset_pairs, lambda _: P.load_reference(case_dir)):
+        with pytest.raises(FormatError, match=f"{manifest}: missing key 'noisy_2'"):
+            load(tmp_path)
+
+
 def test_generate_dataset_deterministic(tmp_path):
     import hashlib
 

@@ -5,7 +5,7 @@ from mcdenoise import training as TR
 from mcdenoise.errors import ConfigError, ContractError
 from mcdenoise.model import ScaledConfig, build_proposed, forward, infer, load_checkpoint
 from mcdenoise.phantom import DoseVolume, NoisePair
-from mcdenoise.tensor import Tensor, backward, zero_grads
+from mcdenoise.tensor import Tensor, _topo_order, backward, zero_grads
 
 from helpers import check_gradients
 
@@ -41,8 +41,29 @@ def test_n2n_loss_matches_direct_sum():
 def test_n2n_loss_gradient():
     rng = np.random.default_rng(2)
     pred = Tensor(rng.normal(size=(1, 1, 3, 3, 2)), requires_grad=True)
-    target = Tensor(rng.normal(size=(1, 1, 3, 3, 2)))
-    check_gradients(lambda: TR.n2n_loss(pred, target), [pred])
+    target = Tensor(rng.normal(size=(1, 1, 3, 3, 2)), requires_grad=True)
+    check_gradients(lambda: TR.n2n_loss(pred, target), [pred, target])
+
+
+@pytest.mark.parametrize("extents", [(32, 32, 16), (64, 64, 32)])  # desk crop, held-out volume
+def test_n2n_loss_is_the_mean_of_squares_bit_for_bit(extents):
+    rng = np.random.default_rng(3)
+    p, t = rng.normal(size=(2, 1, 1) + extents)
+    pred = Tensor(p.copy(), requires_grad=True)
+    target = Tensor(t.copy(), requires_grad=True)
+    loss = TR.n2n_loss(pred, target)
+    assert np.array_equal(loss.data, [np.square(p - t).mean()])
+    backward(loss)
+    want = (2.0 * (p - t)) * (1.0 / p.size)
+    assert np.array_equal(pred.grad, want)
+    assert np.array_equal(target.grad, -want)
+
+
+def test_n2n_loss_adds_one_tape_node():
+    rng = np.random.default_rng(4)
+    pred = Tensor(rng.normal(size=(1, 1, 4, 4, 2)), requires_grad=True)
+    loss = TR.n2n_loss(pred, Tensor(rng.normal(size=(1, 1, 4, 4, 2))))
+    assert [node for node in _topo_order(loss) if not node.is_leaf()] == [loss]
 
 
 # -- adam ---------------------------------------------------------------------------
@@ -76,7 +97,7 @@ def test_adam_quadratic_bowl_monotone():
     values = [abs(p.data[0])]
     for _ in range(100):
         zero_grads([p])
-        backward(p.square().sum())
+        backward(TR.n2n_loss(p, Tensor(np.zeros(1))))  # p squared
         TR.adam_step([p], state, cfg)
         values.append(abs(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
