@@ -5,7 +5,8 @@ takes its output and temporaries from a ``tensor.Buffers``: by default
 fresh arrays, with the backward rule recorded on the tape, while a
 ``tensor.Untaped`` (``model.infer`` passes one per layer, over planned
 views) records nothing. So each kernel's forward arithmetic is written
-once.
+once. A kernel takes the dtype of its output and temporaries from its
+input: float64 on the tape, float32 under ``model.infer``.
 
 Convolutions use cross-correlation semantics (no kernel flip). A conv's
 weights have the logical shape [c_out, c_in, k_h, k_w, k_d], which
@@ -105,7 +106,7 @@ def voxel_unshuffle(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
         if x.requires_grad:
             _accumulate(x, _shuffle_data(g))
 
-    out = buffers.output((x.shape[0], 8 * x.shape[1], h // 2, w // 2, d // 2))
+    out = buffers.output((x.shape[0], 8 * x.shape[1], h // 2, w // 2, d // 2), x.data.dtype)
     return buffers.result(_unshuffle_data(x.data, out), (x,), _bw)
 
 
@@ -121,7 +122,7 @@ def voxel_shuffle(x: Tensor, buffers: Buffers = FRESH) -> Tensor:
             _accumulate(x, _unshuffle_data(g))
 
     b, c8, h, w, d = x.shape
-    out = buffers.output((b, c8 // 8, 2 * h, 2 * w, 2 * d))
+    out = buffers.output((b, c8 // 8, 2 * h, 2 * w, 2 * d), x.data.dtype)
     return buffers.result(_shuffle_data(x.data, out), (x,), _bw)
 
 
@@ -260,7 +261,7 @@ class _PhaseGrid:
 
     def split(self, a: np.ndarray, buffers: Buffers = FRESH) -> np.ndarray:
         """[B, C, H, W, D] -> its zero-padded phases, one copy of each voxel."""
-        phases = buffers.scratch((len(self.phases), a.shape[1], self.batch * self.size))
+        phases = buffers.scratch((len(self.phases), a.shape[1], self.batch * self.size), a.dtype)
         channel_major = a.transpose(1, 0, 2, 3, 4)
         for grid, (src, dst) in zip(self._grids(phases), self.slices):
             grid[(Ellipsis,) + dst] = channel_major[(Ellipsis,) + src]
@@ -358,8 +359,8 @@ def _from_taps(dw: np.ndarray, kernel) -> np.ndarray:
 def _tap_sum(w: np.ndarray, views: list, buffers: Buffers) -> np.ndarray:
     """Sum over taps t of w_t @ views[t]: the conv on the grid, [c_out, cols]."""
     w_taps = _tap_view(w)
-    acc = buffers.scratch((w.shape[0], views[0].shape[1]))
-    tmp = buffers.scratch(acc.shape)
+    acc = buffers.scratch((w.shape[0], views[0].shape[1]), views[0].dtype)
+    tmp = buffers.scratch(acc.shape, acc.dtype)
     with np.errstate(all="ignore"):
         for t, view in enumerate(views):
             np.matmul(w_taps[:, t], view, out=acc if t == 0 else tmp)
@@ -417,7 +418,7 @@ def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool 
                               lambda g: _coarse_first_grads(g, x, spec))
     geo = _phase_grid(x.shape[0], x.shape[2:], spec.kernel, spec.stride)
     acc = _tap_sum(spec.weights.data, geo.tap_views(geo.split(x.data, buffers)), buffers)
-    out = buffers.output((x.shape[0], spec.c_out) + geo.out)
+    out = buffers.output((x.shape[0], spec.c_out) + geo.out, x.data.dtype)
     np.copyto(out, geo.valid(acc).transpose(1, 0, 2, 3, 4))
     if spec.bias is not None:
         out += spec.bias.data.reshape(1, -1, 1, 1, 1)
@@ -468,8 +469,8 @@ def instance_norm(
     # the centred values the output): the norm is memory-bound, and every
     # further temporary is one more allocation and pass over the volume.
     mu = x.data.mean(axis=(2, 3, 4), keepdims=True)
-    centered = np.subtract(x.data, mu, out=buffers.output(x.shape))
-    xhat = np.square(centered, out=buffers.scratch(x.shape))
+    centered = np.subtract(x.data, mu, out=buffers.output(x.shape, x.data.dtype))
+    xhat = np.square(centered, out=buffers.scratch(x.shape, x.data.dtype))
     var = xhat.mean(axis=(2, 3, 4), keepdims=True)
     inv_std = 1.0 / np.sqrt(var + INSTANCE_NORM_EPS)
     np.multiply(centered, inv_std, out=xhat)
@@ -505,11 +506,13 @@ def instance_norm(
 # -- trilinear upsampling -------------------------------------------------------
 
 # Bytes of block-local scratch per block of channels in ``_upsampled_sum``,
-# which runs both the upsample (one tap: 14 doubles per channel and coarse
+# which runs both the upsample (one tap: 14 values per channel and coarse
 # voxel, the H-doubled and HW-doubled copies and the 0.25x and 0.75x terms
 # of the largest pass) and a coarse-first conv's tap sum. Half of one
 # core's 2 MiB L2 on the machine it was measured on, which left room for the
-# output stream; the sweep that chose it is in BENCH_8.json.
+# output stream; the sweep that chose it (in float64) is in BENCH_8.json.
+# A block holds as many channels as fit at the values' itemsize, so a
+# float32 block holds twice the channels of a float64 one.
 _UPSAMPLE_BLOCK_BYTES = 2**20
 
 
@@ -632,19 +635,20 @@ def _upsampled_sum(responses: np.ndarray, buffers: Buffers, bias=None) -> np.nda
     kernel = (kh, kw, kd)
     voxels = h * w * d
     fine = (2 * h, 2 * w, 2 * d)
-    # doubles per channel and coarse voxel: the partial sums A and B, the
+    # values per channel and coarse voxel: the partial sums A and B, the
     # largest doubled off-centre tap (2, 4 or 8 after the H, W or D pass),
     # and the 0.25x/0.75x terms of the largest pass; 14 at one tap
     doubled = max([0] + [2 << axis for axis, k in enumerate(kernel) if k > 1])
     per_channel = 2 * kw * kd + 4 * kd + doubled + 8
-    m = min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * 8 * voxels)))
-    part_h = buffers.scratch((kw, kd, m, 2 * h, w, d))
-    part_w = buffers.scratch((kd, m, 2 * h, 2 * w, d))
-    tmp = buffers.scratch(m * doubled * voxels) if doubled else None
-    quarter = buffers.scratch(m * 4 * voxels)
-    three = buffers.scratch(m * 4 * voxels)
+    m = min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * responses.itemsize * voxels)))
+    dtype = responses.dtype
+    part_h = buffers.scratch((kw, kd, m, 2 * h, w, d), dtype)
+    part_w = buffers.scratch((kd, m, 2 * h, 2 * w, d), dtype)
+    tmp = buffers.scratch(m * doubled * voxels, dtype) if doubled else None
+    quarter = buffers.scratch(m * 4 * voxels, dtype)
+    three = buffers.scratch(m * 4 * voxels, dtype)
     shift_h, shift_w, shift_d = (_axis_shifts(k, n) for k, n in zip(kernel, fine))
-    out = buffers.output((b, c) + fine)
+    out = buffers.output((b, c) + fine, dtype)
     for n in range(b):
         for c0 in range(0, c, m):
             mm = min(m, c - c0)
@@ -705,7 +709,7 @@ def _coarse_first_conv(p: np.ndarray, spec: ConvSpec, buffers: Buffers) -> np.nd
     """
     b, c_in, h, w, d = p.shape
     w_taps = _tap_view(spec.weights.data)
-    responses = buffers.scratch((b,) + spec.kernel + (spec.c_out, h, w, d))
+    responses = buffers.scratch((b,) + spec.kernel + (spec.c_out, h, w, d), p.dtype)
     by_tap = responses.reshape(b, -1, spec.c_out, h * w * d)
     with np.errstate(all="ignore"):
         for t in range(by_tap.shape[1]):

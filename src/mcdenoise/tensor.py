@@ -1,11 +1,18 @@
-"""Dense N-D float64 tensors with reverse-mode automatic differentiation.
+"""Dense N-D tensors with reverse-mode automatic differentiation.
 
 Tensors are stored row-major (last dimension fastest), so for the
 (B, C, H, W, D) convention used by the volumetric kernels the depth axis
 is contiguous in memory. The op graph recorded during a forward pass is
 the tape: ``backward`` visits it exactly once in reverse topological
 order and accumulates gradients additively into every leaf that requested
-them. Everything runs in float64; gradient checks need the headroom.
+them. The tape runs in float64; gradient checks need the headroom.
+
+Only an untaped leaf (no parents, no ``requires_grad``) keeps float32
+data: ``model.infer`` computes in float32 over such tensors, and every
+op takes the dtype of its output and temporaries from its input. Any
+other tensor is float64, and ``Buffers.result`` refuses to record an op
+with a float32 parent (``ContractError``), so the tape never holds a
+float32 value.
 
 The ops: this module holds the tape and three ops, ``relu``, ``concat``
 and ``mul``; ``kernels`` holds the network's other layers and
@@ -54,7 +61,8 @@ from .errors import ContractError
 
 
 class Tensor:
-    """A float64 array, an optional gradient buffer, and a backward rule.
+    """A float64 array (float32 only untaped, see the module docstring), an
+    optional gradient buffer, and a backward rule.
 
     Leaf tensors (no parents) own their data; tensors produced by ops hold
     references to their parents and a closure implementing the chain rule.
@@ -65,7 +73,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if requires_grad or _parents or data.dtype != np.float32:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         # Leaves get a zero buffer up front so non-participating leaves
         # report a zero gradient after any backward pass.
@@ -188,15 +199,17 @@ class Buffers:
     module docstring); ``Untaped`` records nothing.
     """
 
-    def output(self, shape) -> np.ndarray:
-        return np.empty(shape)
+    def output(self, shape, dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
 
-    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
+    def scratch(self, shape, dtype) -> np.ndarray:
         """A temporary that is dead once the op returns; no backward closure reads it."""
         return np.empty(shape, dtype)
 
     def result(self, data, parents, backward_fn) -> Tensor:
         if any(p.requires_grad for p in parents):
+            if any(p.data.dtype != np.float64 for p in parents):
+                raise ContractError("a taped op needs float64 inputs; float32 runs only untaped")
             return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
         return Tensor(data)
 
@@ -212,10 +225,10 @@ class Untaped(Buffers):
         self.out = out
         self.temps = scratch
 
-    def output(self, shape) -> np.ndarray:
-        return np.empty(shape) if self.out is None else self.out
+    def output(self, shape, dtype) -> np.ndarray:
+        return np.empty(shape, dtype) if self.out is None else self.out
 
-    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
+    def scratch(self, shape, dtype) -> np.ndarray:
         return np.empty(shape, dtype) if self.temps is None else self.temps.take(shape, dtype)
 
     def result(self, data, parents, backward_fn) -> Tensor:
@@ -247,7 +260,8 @@ def relu(a: Tensor, buffers: Buffers = FRESH) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g * mask)
 
-    return buffers.result(np.maximum(a.data, 0.0, out=buffers.output(a.shape)), (a,), _bw)
+    out = buffers.output(a.shape, a.data.dtype)
+    return buffers.result(np.maximum(a.data, 0.0, out=out), (a,), _bw)
 
 
 def concat(tensors, buffers: Buffers = FRESH) -> Tensor:
@@ -263,7 +277,7 @@ def concat(tensors, buffers: Buffers = FRESH) -> Tensor:
             raise ContractError(f"concat: non-channel extent mismatch {t.shape} vs {base}")
     widths = [t.shape[1] for t in tensors]
     splits = np.cumsum(widths)[:-1]
-    out = buffers.output(base[:1] + (sum(widths),) + base[2:])
+    out = buffers.output(base[:1] + (sum(widths),) + base[2:], tensors[0].data.dtype)
 
     def _bw(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=1)):

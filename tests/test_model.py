@@ -12,7 +12,7 @@ from mcdenoise import perf, training
 from mcdenoise.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from mcdenoise.tensor import FRESH, Tensor, Untaped, backward, relu
 
-from helpers import guard_build_network
+from helpers import INFER_TOL, guard_build_network, infer_error
 
 DESK = M.ScaledConfig(8, 3, (32, 32, 16))
 
@@ -218,11 +218,14 @@ def test_backward_closures_keep_only_values_and_per_channel_statistics(build, cf
     ],
 )
 def test_infer_is_forward_bit_for_bit(build, extents):
+    # float32 infer is within INFER_TOL of float64 forward, and a warm call
+    # (every buffer planned) equals the cold one bit for bit
     net = build(M.ScaledConfig(8, 3, extents), seed=2)
     x = np.random.default_rng(9).normal(size=(1, 1) + extents)
     want = M.forward(net, Tensor(x)).data
-    assert np.array_equal(M.infer(net, x), want)
-    assert np.array_equal(M.infer(net, x), want)  # warm: every buffer planned
+    cold = M.infer(net, x)
+    assert cold.dtype == np.float64 and infer_error(cold, want) <= INFER_TOL
+    assert np.array_equal(M.infer(net, x), cold)
 
 
 def _coarse_first_convs(net, shape):
@@ -250,10 +253,11 @@ def test_infer_is_forward_bit_for_bit_through_kn2row(monkeypatch):
     monkeypatch.setattr(M, "upsample_trilinear", lambda *a: calls.update(["up"]) or real(*a))
     want = M.forward(net, Tensor(x)).data
     assert calls["up"] == 0  # both upsamples were skipped
-    assert np.array_equal(M.infer(net, x), want)
+    cold = M.infer(net, x)
+    assert infer_error(cold, want) <= INFER_TOL
     scratch = net.plan.scratch.region
     arena = (scratch.ctypes.data, scratch.nbytes)
-    assert np.array_equal(M.infer(net, x), want)
+    assert np.array_equal(M.infer(net, x), cold)
     assert (net.plan.scratch.region.ctypes.data, net.plan.scratch.region.nbytes) == arena
     monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
     net.schedule = None
@@ -293,7 +297,8 @@ def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
     want = M.infer(net, x)
     assert arena[0] < net.plan.region.nbytes  # the skipped upsamples' outputs take no arena
     assert arena[1] <= net.plan.scratch.region.nbytes
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    exact = M.forward(net, Tensor(x)).data  # float64, without coarse-first
+    assert max(infer_error(got, exact), infer_error(want, exact)) <= INFER_TOL
 
 
 # (c_in, c_out, coarse extents) of every conv the rule runs coarse-first, per net
@@ -330,7 +335,7 @@ def test_infer_replans_on_a_new_shape():
     rng = np.random.default_rng(10)
     for extents in [(32, 32, 16), (16, 32, 16), (32, 32, 16)]:
         x = rng.normal(size=(1, 1) + extents)
-        assert np.array_equal(M.infer(net, x), M.forward(net, Tensor(x)).data)
+        assert infer_error(M.infer(net, x), M.forward(net, Tensor(x)).data) <= INFER_TOL
         assert net.plan.shape == x.shape
 
 
@@ -365,7 +370,9 @@ def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
         net = M.build_proposed(cfg, seed=0)
         shape = (1, 1) + cfg.input_extents
         M.infer(net, np.zeros(shape))
-        views = [b.out for b in net.plan.buffers[:-1]]
+        # every layer output is planned, the last one too: infer returns a float64
+        # copy of it, so the caller never holds a view of the arena
+        views = [b.out for b in net.plan.buffers]
         # a skipped layer writes nothing and passes its input on, so the layer
         # whose output holds a value lives until the skipped layer's consumers read it
         skipped = {up for up, _, _ in _coarse_first_convs(net, shape)}
@@ -384,7 +391,12 @@ def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
             for j in planned:
                 if i < j <= last_use[i]:
                     assert not np.shares_memory(views[i], views[j]), (i, j)
-        assert net.plan.region.nbytes < sum(v.nbytes for v in views)
+        # the input, cast into its own view, lives until its consumers have read it
+        assert net.plan.input.shape == shape and net.plan.input.dtype == np.float32
+        input_last = max(i for i, layer in enumerate(net.layers) if -1 in layer.inputs)
+        for j in planned:
+            assert (j > input_last) or not np.shares_memory(net.plan.input, views[j]), j
+        assert net.plan.region.nbytes < sum(v.nbytes for v in views) + net.plan.input.nbytes
 
 
 def test_infer_outputs_belong_to_the_caller():
@@ -399,6 +411,37 @@ def test_infer_outputs_belong_to_the_caller():
     x = rng.normal(size=(1, 1, 32, 32, 16))
     first = M.infer(net, x)
     assert not np.shares_memory(first, M.infer(net, x))
+
+
+def _infer_tracks(net, x, change):
+    """infer before and after ``change(net)``: the second within INFER_TOL of the
+    float64 forward of the changed weights, and not the first."""
+    first = M.infer(net, x)
+    change(net)
+    second = M.infer(net, x)
+    assert infer_error(second, M.forward(net, Tensor(x)).data) <= INFER_TOL
+    assert not np.array_equal(first, second)
+
+
+def _adam_step(net):
+    params = net.param_tensors()
+    x = Tensor(np.random.default_rng(18).normal(size=(1, 1) + DESK.input_extents))
+    backward(training.n2n_loss(M.forward(net, x), Tensor(np.zeros(x.shape))))
+    training.adam_step(params, training.AdamState(params), training.TrainConfig(lr=1e-2))
+
+
+def _write_one_weight(net):
+    net.layers[1].spec.weights.data[0, 0, 1, 1, 0] += 0.5
+
+
+@pytest.mark.parametrize("change", [_adam_step, _write_one_weight])
+def test_infer_never_reads_stale_weights(change, tmp_path):
+    # the plan's float32 weights are cast from the net's on every call
+    x = np.random.default_rng(17).normal(size=(1, 1) + DESK.input_extents)
+    _infer_tracks(M.build_proposed(DESK, seed=4), x, change)
+    M.save_checkpoint(M.build_proposed(DESK, seed=5), tmp_path / "net.ddpk")
+    loaded = M.load_checkpoint(tmp_path / "net.ddpk")
+    _infer_tracks(loaded, x, change)
 
 
 def test_infer_plan_dies_with_the_net():

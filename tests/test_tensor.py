@@ -51,6 +51,48 @@ def test_backward_linearity_sum_of_losses():
     assert np.allclose(combined, x.grad, rtol=1e-12, atol=1e-14)
 
 
+# -- dtypes: float32 only untaped ----------------------------------------------------
+
+
+def test_only_an_untaped_leaf_keeps_float32():
+    a = np.ones(3, np.float32)
+    assert T.Tensor(a).data.dtype == np.float32
+    assert T.Tensor(a, requires_grad=True).data.dtype == np.float64
+    parent = T.Tensor(np.ones(3))
+    assert T.Tensor(a, _parents=(parent,)).data.dtype == np.float64
+    assert T.Tensor(np.ones(3, np.float16)).data.dtype == np.float64
+    assert T.Tensor([1, 2]).data.dtype == np.float64
+
+
+def test_untaped_ops_keep_float32():
+    x = T.Tensor(np.array([[[-1.0, 2.0]]], np.float32))
+    assert T.relu(x).data.dtype == np.float32
+    assert T.concat([x, x]).data.dtype == np.float32
+    out = np.full(x.shape, 7.0, np.float32)
+    assert T.relu(x, T.Untaped(out)).data is out  # in place: no float64 copy
+
+
+def test_a_taped_op_refuses_a_float32_input():
+    x32 = T.Tensor(np.ones((2, 3), np.float32))
+    w = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ContractError, match="float64"):
+        T.mul(x32, w)
+    with pytest.raises(ContractError, match="float64"):
+        n2n_loss(w, x32)
+    net = M.build_proposed(M.ScaledConfig(4, 2, (16, 16, 8)), seed=0)
+    with pytest.raises(ContractError, match="float64"):
+        M.forward(net, T.Tensor(np.ones((1, 1, 16, 16, 8), np.float32)))
+
+
+def test_a_desk_forward_tape_is_float64():
+    net = M.build_proposed(M.ScaledConfig(8, 3, (32, 32, 16)), seed=2)
+    x = T.Tensor(np.random.default_rng(3).normal(size=(1, 1, 32, 32, 16)))
+    out = M.forward(net, x)
+    nodes = T._topo_order(n2n_loss(out, T.Tensor(np.zeros(out.shape))))
+    assert len(nodes) > len(net.layers)
+    assert {t.data.dtype for t in nodes} == {np.dtype(np.float64)}
+
+
 # -- op semantics -----------------------------------------------------------------
 
 

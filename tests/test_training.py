@@ -7,7 +7,7 @@ from mcdenoise.model import ScaledConfig, build_proposed, forward, infer, load_c
 from mcdenoise.phantom import DoseVolume, NoisePair
 from mcdenoise.tensor import Tensor, _topo_order, backward, zero_grads
 
-from helpers import check_gradients
+from helpers import INFER_TOL, check_gradients, infer_error
 
 
 def _pair(rng, extents=(16, 16, 8), scale=80.0):
@@ -270,10 +270,16 @@ def test_denoise_volume_roundtrip_scale():
 def test_denoise_volume_clamps_and_scales_infer_output_in_place():
     net = _desk_net(seed=8)
     values = np.random.default_rng(14).uniform(0.0, 80.0, size=(16, 16, 8))
-    want = np.clip(infer(net, values[None, None] * (1 / 80.0))[0, 0], 0.0, None) * 80.0
+    x = values[None, None] * (1 / 80.0)
+    exact = forward(net, Tensor(x)).data[0, 0]  # float64; infer computes in float32
+    assert infer_error(infer(net, x)[0, 0], exact) <= INFER_TOL
+    want = np.clip(infer(net, x)[0, 0], 0.0, None) * 80.0
     got = TR.denoise_volume(net, values)
     assert got.tobytes() == want.tobytes()
     assert np.any(want == 0.0) and np.all(got >= 0.0)  # the clamp ran
+    # the clamp moves no value further, so the Gy result keeps infer's bound
+    bound = INFER_TOL * 80.0 * np.max(np.abs(exact))
+    assert np.max(np.abs(got - np.clip(exact, 0.0, None) * 80.0)) <= bound
 
 
 # -- equivalence probe ----------------------------------------------------------------------
