@@ -23,18 +23,27 @@ runs through ``conv3d``, whose forward takes one of two paths:
 - coarse-first (``conv3d(..., upsampled=True)``, for a stride-1 conv whose
   input is a 2x trilinear upsample): one GEMM per tap on the upsample's
   coarse input, then the taps' responses upsampled and added at their
-  shifts, the upsample's input never upsampled itself. ``model._schedule``
-  picks it where ``coarse_first`` holds: it saves at least
-  ``_COARSE_FIRST_FLOPS_PER_VALUE`` (160) GEMM FLOPs per upsampled value
-  it adds, 1.75 c_in c_out taps >= 160 (taps c_out - c_in). That is the
-  paper-width pyramid's levels and a wide UNet's decoder convs and head,
-  never a conv of the desk nets.
+  shifts, the upsample's input never upsampled itself.
+
+``model._schedule`` asks ``conv_path`` which path a conv after an upsample
+takes, at the upsample's input shape and the dtype the forward runs in.
+It counts each path's GEMM FLOPs, bytes moved and numpy/BLAS calls from
+the shapes the kernels use (per tap: the upsample, the phase split, the
+taps' GEMMs and adds and the crop; coarse-first: the coarse GEMMs and the
+tap sum's H, W and D passes) and prices them with four constants fitted
+to a sweep of both nets (BENCH_22.json): a GEMM rate per dtype, one memory
+speed and a cost per call. No grid-free rule separates the cases: the
+desk pyramid's 16 -> 8 conv loses coarse-first on the training crop and
+wins it on the held-out volume, while a 512 -> 512 conv wins it even on a
+1x1x1 coarse grid. So the desk net trains with every conv per tap, and
+``infer`` runs its 16 -> 8 pyramid conv coarse-first at the held-out extents.
 
 A coarse-first conv executes 1/8 of its GEMM FLOPs plus the responses'
-upsample; ``perf.count_flops`` still counts the network as defined, an
-upsample followed by a conv on the fine grid. The per-tap backward pass
-rebuilds the phase split and runs the adjoint GEMMs on its slices; the
-coarse-first backward runs its GEMMs on the coarse grid.
+upsample; ``perf.count_flops`` counts the network as defined, an upsample
+followed by a conv on the fine grid, and beside it the GEMM FLOPs the
+float32 ``infer`` schedule executes (``conv_path``). The per-tap backward
+pass rebuilds the phase split and runs the adjoint GEMMs on its slices;
+the coarse-first backward runs its GEMMs on the coarse grid.
 
 The trilinear upsample doubles H, W, then D with a two-tap stencil; its
 forward is the one-tap case of the coarse-first conv's tap sum
@@ -61,6 +70,7 @@ shuffle is its exact inverse; both are pure permutations.
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,37 +314,6 @@ def _phase_grid(batch: int, extents: tuple, kernel: tuple, stride: tuple) -> _Ph
     return _PhaseGrid(batch, extents, kernel, stride)
 
 
-# GEMM FLOPs a coarse-first conv must save per upsampled value it adds,
-# chosen by the sweep in BENCH_9.json over every upsample -> conv pair of
-# both nets at 8 to 64 base features. No pair lies between 144 and 201.6.
-# From 201.6 up coarse-first was faster on every grid of more than 32
-# coarse voxels (its per-call overhead, about 0.1 ms, lost on two of 4x4x2);
-# below 145 it also lost at larger grids. Every conv of the desk nets is at
-# 101 or less and stays on the per-tap path, so the desk outputs do not
-# move. The sweep copied the weights into tap-major order on both paths;
-# they are stored that way now, and the rule was not fitted again.
-_COARSE_FIRST_FLOPS_PER_VALUE = 160
-
-
-def coarse_first(spec: ConvSpec, shape) -> bool:
-    """Whether the conv of a 2x trilinear upsample of a ``shape`` input runs coarse-first.
-
-    Both operators are linear and the upsample acts per channel, so the
-    conv's channel-mixing GEMMs can run on the coarse input, at 1/8 of the
-    voxels, with each tap's c_out responses upsampled instead of the c_in
-    input channels (``conv3d(..., upsampled=True)``). Per fine voxel that
-    saves 2 * c_in * c_out * taps * 7/8 GEMM FLOPs and adds
-    taps * c_out - c_in upsampled values; the conv runs coarse-first when
-    it saves at least ``_COARSE_FIRST_FLOPS_PER_VALUE`` per value added,
-    so always when taps * c_out <= c_in. Only stride-1 convs.
-    """
-    taps = math.prod(spec.kernel)
-    if spec.stride != (1, 1, 1) or shape[1] != spec.c_in:
-        return False
-    saved = 1.75 * spec.c_in * spec.c_out * taps
-    return saved >= _COARSE_FIRST_FLOPS_PER_VALUE * (taps * spec.c_out - spec.c_in)
-
-
 def _tap_view(w: np.ndarray) -> np.ndarray:
     """[c_out, c_in, kh, kw, kd] -> [c_out, taps, c_in], taps row-major.
 
@@ -404,7 +383,7 @@ def conv3d(x: Tensor, spec: ConvSpec, buffers: Buffers = FRESH, upsampled: bool 
     ``upsample_trilinear(x)`` with its GEMMs on ``x`` itself, the taps'
     responses then upsampled and added at their shifts
     (``_coarse_first_conv``). The caller decides when with
-    ``coarse_first``; only stride-1 convs.
+    ``conv_path``; only stride-1 convs.
     """
     if len(x.shape) != 5:
         raise ShapeError(f"conv3d needs a 5-D tensor, got {x.shape}")
@@ -514,6 +493,24 @@ def instance_norm(
 # A block holds as many channels as fit at the values' itemsize, so a
 # float32 block holds twice the channels of a float64 one.
 _UPSAMPLE_BLOCK_BYTES = 2**20
+
+
+def _doubled(kernel) -> int:
+    """Values per channel and coarse voxel of the largest doubled off-centre
+    tap in ``_upsampled_sum``: 2, 4 or 8 after the H, W or D pass, 0 at one tap."""
+    return max([0] + [2 << axis for axis, k in enumerate(kernel) if k > 1])
+
+
+def _block_channels(kernel, c: int, voxels: int, itemsize: int) -> int:
+    """Channels per block of ``_upsampled_sum``: as many as ``_UPSAMPLE_BLOCK_BYTES`` holds.
+
+    Per channel and coarse voxel a block keeps the partial sums A and B,
+    the largest doubled off-centre tap (``_doubled``) and the 0.25x/0.75x
+    terms of the largest pass: 14 values at one tap.
+    """
+    kh, kw, kd = kernel
+    per_channel = 2 * kw * kd + 4 * kd + _doubled(kernel) + 8
+    return min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * itemsize * voxels)))
 
 
 def _double_axis(a: np.ndarray, out: np.ndarray, quarter: np.ndarray, three: np.ndarray):
@@ -635,12 +632,8 @@ def _upsampled_sum(responses: np.ndarray, buffers: Buffers, bias=None) -> np.nda
     kernel = (kh, kw, kd)
     voxels = h * w * d
     fine = (2 * h, 2 * w, 2 * d)
-    # values per channel and coarse voxel: the partial sums A and B, the
-    # largest doubled off-centre tap (2, 4 or 8 after the H, W or D pass),
-    # and the 0.25x/0.75x terms of the largest pass; 14 at one tap
-    doubled = max([0] + [2 << axis for axis, k in enumerate(kernel) if k > 1])
-    per_channel = 2 * kw * kd + 4 * kd + doubled + 8
-    m = min(c, max(1, _UPSAMPLE_BLOCK_BYTES // (per_channel * responses.itemsize * voxels)))
+    doubled = _doubled(kernel)
+    m = _block_channels(kernel, c, voxels, responses.itemsize)
     dtype = responses.dtype
     part_h = buffers.scratch((kw, kd, m, 2 * h, w, d), dtype)
     part_w = buffers.scratch((kd, m, 2 * h, 2 * w, d), dtype)
@@ -761,3 +754,121 @@ def _coarse_first_grads(g: np.ndarray, x: Tensor, spec: ConvSpec):
             w_rows = _tap_view(spec.weights.data).reshape(-1, c_in)
             dx = (w_rows.T @ g_rows).reshape((c_in, b) + tuple(extents))
             _accumulate(x, dx.transpose(1, 0, 2, 3, 4))
+
+
+# -- a conv's path, chosen by a fitted cost model ----------------------------------
+
+PER_TAP = "per tap"
+COARSE_FIRST = "coarse-first"
+
+# One path of a conv, counted from its shapes: the GEMM FLOPs it executes,
+# the bytes its numpy and BLAS calls read and write, and how many calls it makes
+ConvPath = namedtuple("ConvPath", "name flops bytes calls")
+
+# The cost model's four constants, fitted by least squares (relative
+# error) to the per-path forward times of the sweep in BENCH_22.json:
+# every upsample -> conv pair of both nets at 8 to 64 base features, at
+# 32x32x16, 64x64x32 and 64^3, in float64 with fresh arrays (the taped
+# forward) and in float32 over planned buffers (``infer``), one BLAS thread.
+_GEMM_FLOPS_PER_S = {np.dtype(np.float64): 47.4e9, np.dtype(np.float32): 78.1e9}
+_BYTES_PER_S = 19.8e9
+_SECONDS_PER_CALL = 3.80e-6
+
+
+def _seconds(path: ConvPath, dtype) -> float:
+    """The cost model: GEMM FLOPs at the dtype's GEMM rate, plus bytes at
+    one memory speed, plus a fixed overhead per numpy or BLAS call."""
+    return (path.flops / _GEMM_FLOPS_PER_S[np.dtype(dtype)] + path.bytes / _BYTES_PER_S
+            + path.calls * _SECONDS_PER_CALL)
+
+
+def _joined(name: str, *parts: ConvPath) -> ConvPath:
+    return ConvPath(name, *(sum(column) for column in zip(*(p[1:] for p in parts))))
+
+
+def _per_tap_path(spec: ConvSpec, shape, itemsize: int) -> ConvPath:
+    """``conv3d``'s per-tap forward on a ``shape`` input: the phase split
+    (one copy per phase and its six padding margins), a GEMM per tap on its
+    column slice, the ``acc`` adds, the crop and the bias.
+
+    Where the phases and the two accumulators fit in
+    ``_UPSAMPLE_BLOCK_BYTES`` the taps re-read them in cache, so the tap
+    loop moves each array once; otherwise every GEMM reads its weights and
+    slice and writes its product, and every add reads two products and
+    writes one.
+    """
+    b, c_in, *extents = shape
+    geo = _phase_grid(b, tuple(extents), spec.kernel, spec.stride)
+    taps, phases, acc = len(geo.taps), len(geo.phases), spec.c_out * geo.cols
+    grid = phases * c_in * b * geo.size
+    if (grid + 2 * acc) * itemsize <= _UPSAMPLE_BLOCK_BYTES:
+        loop = taps * spec.c_out * c_in + grid + acc
+    else:
+        loop = taps * (spec.c_out * c_in + c_in * geo.cols + acc) + (taps - 1) * 3 * acc
+    crop = b * spec.c_out * math.prod(geo.out) * (2 if spec.bias is None else 4)
+    values = math.prod(shape) + grid + loop + crop
+    calls = 7 * phases + 2 * taps + (spec.bias is not None)
+    return ConvPath(PER_TAP, 2 * taps * spec.c_out * c_in * geo.cols, values * itemsize, calls)
+
+
+def _coarse_gemms(spec: ConvSpec, c: int, voxels: int, itemsize: int) -> ConvPath:
+    """``_coarse_first_conv``'s GEMMs: per tap, its weights times the coarse
+    input [c, voxels] into the tap's responses. The taps re-read the input
+    in cache where it fits in ``_UPSAMPLE_BLOCK_BYTES``, as in ``_per_tap_path``."""
+    taps = math.prod(spec.kernel)
+    reads = c * voxels if c * voxels * itemsize <= _UPSAMPLE_BLOCK_BYTES else taps * c * voxels
+    values = taps * spec.c_out * c + reads + taps * spec.c_out * voxels
+    return ConvPath(COARSE_FIRST, 2 * taps * spec.c_out * c * voxels, values * itemsize, taps)
+
+
+def _upsampled_sum_path(batch: int, kernel, c: int, coarse, itemsize: int, bias: bool) -> ConvPath:
+    """``_upsampled_sum`` of a ``kernel``'s responses, c channels on a ``coarse`` grid.
+
+    A ``_double_axis`` pass over v values reads and writes 10 v of them
+    (the 0.25x and 0.75x terms, then the even and odd outputs) in 6 calls;
+    an off-centre part adds its 2v doubled values to the target at its
+    shift, 6 v more in one call. The H pass doubles each group's kh parts,
+    the W pass kw parts of twice the values and the D pass kd parts of
+    four times; each block of channels runs every pass once.
+    """
+    kh, kw, kd = kernel
+    v = batch * c * math.prod(coarse)
+    blocks = batch * -(-c // _block_channels(kernel, c, math.prod(coarse), itemsize))
+    values, calls = 16 * bias * v, bias
+    for groups, parts, size in ((kw * kd, kh, v), (kd, kw, 2 * v), (1, kd, 4 * v)):
+        values += groups * (16 * parts - 6) * size
+        calls += groups * (7 * parts - 1)
+    return ConvPath("", 0, values * itemsize, blocks * calls)
+
+
+def _upsampled_paths(spec: ConvSpec, shape, itemsize: int) -> list:
+    """The paths of a conv on the 2x trilinear upsample of a ``shape`` input:
+    per tap after the upsample and, for a stride-1 conv, coarse-first."""
+    b, c, *coarse = shape
+    fine = (b, c) + tuple(2 * n for n in coarse)
+    paths = [_joined(PER_TAP, _upsampled_sum_path(b, (1, 1, 1), c, coarse, itemsize, False),
+                     _per_tap_path(spec, fine, itemsize))]
+    if spec.stride == (1, 1, 1) and c == spec.c_in:
+        paths.append(_joined(
+            COARSE_FIRST, _coarse_gemms(spec, c, b * math.prod(coarse), itemsize),
+            _upsampled_sum_path(b, spec.kernel, spec.c_out, coarse, itemsize, spec.bias is not None)))
+    return paths
+
+
+def conv_path(spec: ConvSpec, shape, dtype, upsampled: bool = False) -> ConvPath:
+    """The path ``conv3d``'s forward takes on a ``shape`` input in ``dtype``, with its counts.
+
+    With ``upsampled`` the conv's input is the 2x trilinear upsample of a
+    ``shape`` input, which a stride-1 conv can skip: both operators are
+    linear and the upsample acts per channel, so the conv's GEMMs can run
+    on the coarse input, at 1/8 of the voxels, with each tap's c_out
+    responses upsampled instead of the c_in input channels
+    (``conv3d(..., upsampled=True)``). The per-tap path then counts the
+    upsample it needs first, and the cheaper path under ``_seconds`` is
+    returned, per tap on a tie. Nothing is timed: the counts come from the
+    shapes the kernels use, the prices from the fitted constants.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    if not upsampled:
+        return _per_tap_path(spec, shape, itemsize)
+    return min(_upsampled_paths(spec, shape, itemsize), key=lambda path: _seconds(path, dtype))

@@ -7,9 +7,11 @@ with the layer's entry in ``LAYER_RULES``, the one table of how each kind
 applies to tensors and to shapes and which parameters it holds:
 ``forward`` walks tensors and ``perf.count_flops`` walks shapes.
 Both forwards run each layer as ``_schedule`` says, one shape walk kept
-on the net for the last input shape: an upsample is skipped, handing its
-input on, where its only consumer is a conv that runs coarse-first on
-that input. ``infer`` is the forward without the tape, in float32: from
+on the net per dtype for that dtype's last input shape: an upsample is
+skipped, handing its input on, where its only consumer is a conv that
+``kernels.conv_path`` runs coarse-first on that input in the forward's
+dtype, so the taped float64 forward and ``infer`` may run a conv on
+different paths. ``infer`` is the forward without the tape, in float32: from
 the schedule it plans one float32 arena for the input and every layer
 output (outputs whose lifetimes do not overlap share memory), one
 scratch region for the kernels' temporaries and a float32 copy of every
@@ -51,9 +53,10 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from .kernels import (
+    COARSE_FIRST,
     ConvSpec,
-    coarse_first,
     conv3d,
+    conv_path,
     conv_output_extents,
     instance_norm,
     make_conv_spec,
@@ -115,8 +118,9 @@ class NetworkGraph:
     layers: list[Layer] = field(default_factory=list)
     # infer's buffer plan for the last input shape; it dies with the net
     plan: "_Plan | None" = field(default=None, init=False, repr=False, compare=False)
-    # (input shape, ``_schedule`` at it) for the last input shape; it dies with the net
-    schedule: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
+    # dtype -> (input shape, ``_schedule`` at it) for that dtype's last input shape;
+    # it dies with the net
+    schedule: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def parameters(self):
         for layer_id, layer in enumerate(self.layers):
@@ -308,8 +312,9 @@ def _check_input(net: NetworkGraph, shape):
 
 
 # A layer's output shape, the function that runs it (None when another layer's
-# kernel covers it) and the layer whose output holds its value (-1: the input)
-Step = namedtuple("Step", "shape run owner")
+# kernel covers it), the layer whose output holds its value (-1: the input) and,
+# for a conv, the ``kernels.ConvPath`` it takes
+Step = namedtuple("Step", "shape run owner path")
 
 
 # A conv on the input of the upsample ``_schedule`` skips; conv3d is looked up at call time
@@ -317,40 +322,45 @@ def _coarse_first_apply(layer, xs, buffers=FRESH):
     return conv3d(xs[0], layer.spec, buffers, upsampled=True)
 
 
-def _schedule(net: NetworkGraph, shape) -> list[Step]:
-    """How each layer of ``net`` runs at input ``shape``: one ``Step`` per layer.
+def _schedule(net: NetworkGraph, shape, dtype) -> list[Step]:
+    """How each layer of ``net`` runs at input ``shape`` in ``dtype``: one ``Step`` per layer.
 
-    An upsample whose only consumer is a conv that ``kernels.coarse_first``
-    selects at the upsample's input shape is skipped, and the conv runs
-    coarse-first on that input. The skipped upsample hands its input on,
-    so the layer holding its input's value holds its.
+    An upsample whose only consumer is a conv for which ``kernels.conv_path``
+    picks coarse-first at the upsample's input shape and ``dtype`` is
+    skipped, and the conv runs coarse-first on that input. The skipped
+    upsample hands its input on, so the layer holding its input's value
+    holds its. Every other conv takes the per-tap path.
     """
     users = [[] for _ in net.layers]
     for layer_id, layer in enumerate(net.layers):
         for src in layer.inputs:
             if src >= 0:
                 users[src].append(layer_id)
-    runs = {}  # layer id -> its run, when its producer decided it
+    decided = {}  # conv id -> (its run, its path), when its upsample decided them
 
     def visit(layer_id, layer, rule, inputs):
-        run = runs.get(layer_id, rule.apply)
-        user = users[layer_id][0] if len(users[layer_id]) == 1 else None
-        user_kind = None if user is None else net.layers[user].kind
-        if (layer.kind, user_kind) == ("upsample", "conv") and coarse_first(
-                net.layers[user].spec, inputs[0].shape):
-            run, runs[user] = None, _coarse_first_apply
         out_shape = rule.shape(layer, [step.shape for step in inputs])
-        return Step(out_shape, run, inputs[0].owner if run is None else layer_id)
+        run, path = rule.apply, None
+        if layer.kind == "conv":
+            run, path = decided.get(layer_id) or (run, conv_path(layer.spec, inputs[0].shape, dtype))
+        user = users[layer_id][0] if len(users[layer_id]) == 1 else None
+        if layer.kind == "upsample" and user is not None and net.layers[user].kind == "conv":
+            first = conv_path(net.layers[user].spec, inputs[0].shape, dtype, upsampled=True)
+            if first.name == COARSE_FIRST:
+                run, decided[user] = None, (_coarse_first_apply, first)
+        return Step(out_shape, run, inputs[0].owner if run is None else layer_id, path)
 
-    return walk(net, Step(tuple(shape), None, -1), visit)
+    return walk(net, Step(tuple(shape), None, -1, None), visit)
 
 
-def _scheduled(net: NetworkGraph, shape) -> list[Step]:
-    """``_schedule(net, shape)``, kept on ``net.schedule`` for the last input shape."""
-    shape = tuple(shape)
-    if net.schedule is None or net.schedule[0] != shape:
-        net.schedule = (shape, _schedule(net, shape))
-    return net.schedule[1]
+def _scheduled(net: NetworkGraph, shape, dtype) -> list[Step]:
+    """``_schedule(net, shape, dtype)``, kept on ``net.schedule`` for each dtype's last
+    input shape: the taped forward (float64) and ``infer`` (float32) alternate
+    at one shape in a training run that evaluates, and each keeps its own."""
+    shape, dtype = tuple(shape), np.dtype(dtype)
+    if net.schedule.get(dtype, (None,))[0] != shape:
+        net.schedule[dtype] = (shape, _schedule(net, shape, dtype))
+    return net.schedule[dtype][1]
 
 
 def _apply_checked(layer_id, layer, apply, xs, buffers: Buffers) -> Tensor:
@@ -371,7 +381,7 @@ def forward(net: NetworkGraph, x: Tensor, plan: "_Plan | None" = None) -> Tensor
     kernel, or not at all, handing its input on.
     """
     _check_input(net, x.shape)
-    steps = _scheduled(net, x.shape)
+    steps = _scheduled(net, x.shape, x.data.dtype)
 
     def apply(layer_id, layer, rule, xs):
         run = steps[layer_id].run
@@ -489,7 +499,7 @@ class _Plan:
 
     def __init__(self, net: NetworkGraph, shape):
         self.shape = tuple(shape)
-        shapes, _, owner = zip(*_scheduled(net, self.shape))
+        shapes, _, owner, _ = zip(*_scheduled(net, self.shape, _INFER_DTYPE))
         # one lifetime per layer, then the input's: owner -1 indexes it
         last_use = list(range(len(shapes))) + [-1]
         for layer_id, layer in enumerate(net.layers):
@@ -513,11 +523,10 @@ class _Plan:
         self.params = []
         self.layers = [_infer_copy(layer, self.params) for layer in net.layers]
 
-    def load(self, net: NetworkGraph, x: np.ndarray):
-        """Cast ``net``'s parameters as they are now, and ``x``, into the plan's copies."""
+    def load(self, net: NetworkGraph):
+        """Cast ``net``'s parameters as they are now into the plan's copies."""
         for (_, _, t), copy in zip(net.parameters(), self.params):
             np.copyto(copy, t.data)
-        np.copyto(self.input, x)
 
     def layer(self, layer_id) -> Untaped:
         """The buffers of ``layer_id``, with the scratch region free again."""
@@ -539,14 +548,24 @@ def infer(net: NetworkGraph, x: np.ndarray) -> np.ndarray:
     belongs to the caller. The parameters are cast into the plan's copies
     on every call, so a change to them in place shows in the next call.
     The same kernels run as in ``forward``, with the same checks and
-    errors. One call at a time per net: calls share the plan's memory.
+    errors, but each conv on the path ``kernels.conv_path`` picks in
+    float32, which may differ from the taped forward's. One call at a time
+    per net: calls share the plan's memory.
     """
     x = np.asarray(x)
-    _check_input(net, x.shape)
-    if net.plan is None or net.plan.shape != x.shape:
-        net.plan = _Plan(net, x.shape)
-    net.plan.load(net, x)
-    return forward(net, Tensor(net.plan.input), net.plan).data.astype(np.float64)
+    return _infer_float32(net, x.shape, lambda view: np.copyto(view, x)).astype(np.float64)
+
+
+def _infer_float32(net: NetworkGraph, shape, fill) -> np.ndarray:
+    """``infer``'s float32 output, a view of the arena valid until the next call;
+    ``fill(view)`` writes the input into the plan's float32 input view."""
+    shape = tuple(shape)
+    _check_input(net, shape)
+    if net.plan is None or net.plan.shape != shape:
+        net.plan = _Plan(net, shape)
+    net.plan.load(net)
+    fill(net.plan.input)
+    return forward(net, Tensor(net.plan.input), net.plan).data
 
 
 # -- checkpoint I/O --------------------------------------------------------------

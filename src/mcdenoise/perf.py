@@ -5,6 +5,10 @@ FLOPs follow the multiply-accumulate convention for convolutions,
 convolutions only: normalization, ReLU, shuffles and upsampling are free.
 ``count_flops`` walks symbolic shapes through ``model.LAYER_RULES`` with
 ``model.walk``, so profiling the reference geometry allocates no tensors.
+Beside these defined FLOPs it reports each conv's executed GEMM FLOPs in
+the float32 ``infer`` schedule, as ``kernels.conv_path`` counts them: a
+per-tap conv also multiplies the padding columns of its phase grid, and a
+coarse-first conv runs its GEMMs on 1/8 of the voxels.
 """
 
 import ctypes
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError
 from .kernels import conv3d, instance_norm, make_conv_spec
-from .model import NetworkGraph, check_divisible, walk
+from .model import _INFER_DTYPE, NetworkGraph, _schedule, check_divisible, walk
 from .tensor import Tensor
 
 
@@ -34,6 +38,7 @@ class LayerCost:
     input_shape: tuple
     output_shape: tuple
     flops: int
+    executed_flops: int  # GEMM FLOPs of the path the float32 infer schedule runs
     params: int
 
 
@@ -48,6 +53,10 @@ class FlopsReport:
         return sum(r.flops for r in self.rows)
 
     @property
+    def total_executed_flops(self) -> int:
+        return sum(r.executed_flops for r in self.rows)
+
+    @property
     def total_params(self) -> int:
         return sum(r.params for r in self.rows)
 
@@ -56,16 +65,17 @@ class FlopsReport:
         return self.total_flops / 1e9
 
     def csv_lines(self) -> list[str]:
-        lines = ["layer_id,kind,stage,input_shape,output_shape,flops,params"]
+        lines = ["layer_id,kind,stage,input_shape,output_shape,flops,executed_flops,params"]
         for r in self.rows:
             in_s = "x".join(str(v) for v in r.input_shape)
             out_s = "x".join(str(v) for v in r.output_shape)
-            lines.append(f"{r.layer_id},{r.kind},{r.stage},{in_s},{out_s},{r.flops},{r.params}")
-        lines.append(f"total,,,,,{self.total_flops},{self.total_params}")
+            lines.append(f"{r.layer_id},{r.kind},{r.stage},{in_s},{out_s},{r.flops},"
+                         f"{r.executed_flops},{r.params}")
+        lines.append(f"total,,,,,{self.total_flops},{self.total_executed_flops},{self.total_params}")
         return lines
 
     def table(self) -> str:
-        header = ["id", "kind", "stage", "input", "output", "flops", "params"]
+        header = ["id", "kind", "stage", "input", "output", "flops", "executed", "params"]
         body = []
         for r in self.rows:
             body.append(
@@ -76,32 +86,39 @@ class FlopsReport:
                     "x".join(str(v) for v in r.input_shape),
                     "x".join(str(v) for v in r.output_shape),
                     f"{r.flops:,}",
+                    f"{r.executed_flops:,}",
                     f"{r.params:,}",
                 ]
             )
-        body.append(["total", "", "", "", "", f"{self.total_flops:,}", f"{self.total_params:,}"])
+        body.append(["total", "", "", "", "", f"{self.total_flops:,}",
+                     f"{self.total_executed_flops:,}", f"{self.total_params:,}"])
         widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
         fmt = "  ".join(f"{{:<{w}}}" for w in widths)
         lines = [fmt.format(*header)] + [fmt.format(*row) for row in body]
         lines.append(
             f"\n{self.network} at {'x'.join(str(e) for e in self.input_extents)}: "
-            f"{self.total_gflops:.2f} GFLOPs, {self.total_params / 1e6:.2f}M params"
+            f"{self.total_gflops:.2f} GFLOPs, {self.total_params / 1e6:.2f}M params; "
+            f"float32 infer executes {self.total_executed_flops / 1e9:.2f} G of GEMM FLOPs"
         )
         return "\n".join(lines) + "\n"
 
 
 def count_flops(net: NetworkGraph, input_extents) -> FlopsReport:
-    """Propagate shapes through the graph and cost each convolution."""
+    """Propagate shapes through the graph and cost each convolution, as
+    defined and as the float32 ``infer`` schedule executes it."""
     input_extents = tuple(int(e) for e in input_extents)
     check_divisible(net.name, net.cfg.num_down, input_extents, ContractError)
+    steps = _schedule(net, (1, 1) + input_extents, _INFER_DTYPE)
     rows = []
 
     def cost(layer_id, layer, rule, shapes):
         out = rule.shape(layer, shapes)
         spec = layer.spec
         flops = 0 if spec is None else conv_flops(spec.c_in, spec.kernel, spec.c_out, out[2:])
+        path = steps[layer_id].path
         params = sum(t.size for _, t in layer.params())
-        rows.append(LayerCost(layer_id, layer.kind, layer.stage, shapes[0], out, flops, params))
+        rows.append(LayerCost(layer_id, layer.kind, layer.stage, shapes[0], out, flops,
+                              0 if path is None else path.flops, params))
         return out
 
     walk(net, (1, 1) + input_extents, cost)

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError
-from .model import NetworkGraph, forward, infer, save_checkpoint
+from .model import NetworkGraph, _infer_float32, forward, save_checkpoint
 from .phantom import DEFAULT_PRESCRIPTION_GY, NoisePair
 from .tensor import FRESH, Tensor, _accumulate, backward, zero_grads, zeros_in_order
 
@@ -27,6 +27,7 @@ LOG_EVERY = 50
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 PAD = 16  # the effective pad per axis is min(PAD, extent // 4)
+_UNITS_PER_GY = 1.0 / DEFAULT_PRESCRIPTION_GY  # network units per Gy
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def adam_step(params: list[Tensor], state: AdamState, cfg: TrainConfig):
 def to_network_units(dose_gy: np.ndarray) -> np.ndarray:
     """A new array of ``dose_gy`` in the network's units: Gy times one over
     the prescription dose, the one conversion training and inference share."""
-    return dose_gy * (1.0 / DEFAULT_PRESCRIPTION_GY)
+    return dose_gy * _UNITS_PER_GY
 
 
 def effective_pads(extents) -> tuple[int, ...]:
@@ -132,13 +133,29 @@ def check_crop(extents, cfg: TrainConfig):
     return pads, padded_extents
 
 
+def _padded_window(values: np.ndarray, pads, offsets, crop) -> np.ndarray:
+    """``np.pad(to_network_units(values), pads)`` cropped to ``crop`` at ``offsets``,
+    computed on the window alone: its part inside ``values``, converted, in a zeroed crop."""
+    out = np.zeros(crop)
+    src, dst = [], []
+    for n, p, o, c in zip(values.shape, pads, offsets, crop):
+        start = o - p  # the window's first index in ``values``
+        lo = min(max(start, 0), n)
+        hi = max(lo, min(start + c, n))
+        src.append(slice(lo, hi))
+        dst.append(slice(lo - start, hi - start))
+    np.multiply(values[tuple(src)], _UNITS_PER_GY, out=out[tuple(dst)])
+    return out
+
+
 def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     """Normalize, pad, apply one shared random crop, and maybe swap roles.
 
     Both volumes are converted to network units (``to_network_units``),
     zero-padded by min(PAD, extent // 4) per dimension, and cropped with the
-    same window so input and target stay aligned. The roles are then
-    exchanged with probability one half.
+    same window so input and target stay aligned; only the window is
+    computed (``_padded_window``). The roles are then exchanged with
+    probability one half.
     """
     a, b = pair.input.values, pair.target.values
     if a.shape != b.shape:
@@ -146,11 +163,8 @@ def preprocess(pair: NoisePair, cfg: TrainConfig, rng: np.random.Generator):
     pads, padded_extents = check_crop(a.shape, cfg)
     crop = cfg.crop_extents
     offsets = tuple(int(rng.integers(0, pe - c + 1)) for pe, c in zip(padded_extents, crop))
-
-    pad_width = [(p, p) for p in pads]
-    window = tuple(slice(o, o + c) for o, c in zip(offsets, crop))
-    xa = np.pad(to_network_units(a), pad_width)[window]
-    xb = np.pad(to_network_units(b), pad_width)[window]
+    xa = _padded_window(a, pads, offsets, crop)
+    xb = _padded_window(b, pads, offsets, crop)
     if rng.random() < 0.5:
         xa, xb = xb, xa
     return Tensor(xa[None, None]), Tensor(xb[None, None])
@@ -212,13 +226,18 @@ def denoise_volume(net: NetworkGraph, values: np.ndarray):
     without the tape (``model.infer``), and return the denoised grid in Gy.
 
     The network output is unconstrained; the dose map is clamped to be
-    nonnegative here rather than inside the net. ``infer``'s output
-    belongs to the caller, so it is clamped and scaled in place.
+    nonnegative here rather than inside the net. The values are what
+    ``infer`` computes, with one pass each way: the dose is scaled straight
+    into the planned float32 input (in float64, then cast, as ``infer``
+    casts), the float32 output is clamped in place in the arena, and one
+    float64 multiply makes the returned array.
     """
-    out = infer(net, to_network_units(values[None, None]))[0, 0]
+    volume = values[None, None]
+    out = _infer_float32(net, volume.shape,
+                         lambda x: np.multiply(volume, _UNITS_PER_GY, out=x))[0, 0]
     np.clip(out, 0.0, None, out=out)
-    out *= DEFAULT_PRESCRIPTION_GY
-    return out
+    # a Python float times float32 stays float32: dtype= makes it the float64 product
+    return np.multiply(out, DEFAULT_PRESCRIPTION_GY, dtype=np.float64)
 
 
 # -- scalar equivalence probe -----------------------------------------------------------

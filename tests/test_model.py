@@ -105,10 +105,13 @@ def test_forward_looks_kernels_up_at_call_time(monkeypatch):
         x = np.ones((1, 1) + DESK.input_extents)
         kinds_run = Counter("inorm+relu" if layer.kind == "inorm" else layer.kind
                             for layer in net.layers)
-        for run in (lambda: M.forward(net, Tensor(x)), lambda: M.infer(net, x)):
+        for run, dtype in ((lambda: M.forward(net, Tensor(x)), np.float64),
+                           (lambda: M.infer(net, x), np.float32)):
             calls.clear()
             run()
-            assert calls == kinds_run
+            # a conv run coarse-first skips its upsample
+            skipped = len(_coarse_first_convs(net, x.shape, dtype))
+            assert calls == kinds_run - Counter(upsample=skipped)
             called |= set(calls)
     assert called == set(M.LAYER_RULES) - {"inorm"} | {"inorm+relu"}
 
@@ -118,7 +121,7 @@ def test_forward_looks_kernels_up_at_call_time(monkeypatch):
 FUSION_NETS = [
     (M.build_proposed, DESK),
     (M.build_unet_baseline, M.ScaledConfig(8, 3, (16, 16, 8))),
-    (M.build_proposed, M.ScaledConfig(40, 2, (16, 16, 8))),  # both pyramid convs coarse-first
+    (M.build_proposed, M.ScaledConfig(8, 3, (64, 64, 32))),  # pyramid convs coarse-first
 ]
 
 
@@ -228,9 +231,10 @@ def test_infer_is_forward_bit_for_bit(build, extents):
     assert np.array_equal(M.infer(net, x), cold)
 
 
-def _coarse_first_convs(net, shape):
-    """(upsample id, conv id, upsample input shape) of every conv ``forward`` runs coarse-first."""
-    steps = M._schedule(net, shape)
+def _coarse_first_convs(net, shape, dtype=np.float64):
+    """(upsample id, conv id, upsample input shape) of every conv run coarse-first in ``dtype``:
+    float64 is the taped ``forward``'s schedule, float32 ``infer``'s."""
+    steps = M._schedule(net, shape, dtype)
     found = []
     for conv, layer in enumerate(net.layers):
         if layer.kind == "conv" and steps[conv].run is M._coarse_first_apply:
@@ -240,9 +244,21 @@ def _coarse_first_convs(net, shape):
     return found
 
 
+def _force_path(monkeypatch, name):
+    """Make ``model._schedule`` run every conv it can on path ``name``, whatever the cost model says."""
+
+    def forced(spec, shape, dtype, upsampled=False):
+        paths = K._upsampled_paths(spec, shape, np.dtype(dtype).itemsize) if upsampled else []
+        return next((p for p in paths if p.name == name), K.conv_path(spec, shape, dtype))
+
+    monkeypatch.setattr(M, "conv_path", forced)
+
+
 def test_infer_is_forward_bit_for_bit_through_kn2row(monkeypatch):
     # base 40, two modules: both pyramid levels run coarse-first (kn2row below the
-    # upsample), the top one mapping 80 channels to 8 at 8x8x4
+    # upsample), the top one mapping 80 channels to 8 at 8x8x4. The cost model keeps
+    # both per tap at this small size, so the path is forced.
+    _force_path(monkeypatch, K.COARSE_FIRST)
     net = M.build_proposed(M.ScaledConfig(40, 2, (16, 16, 8)), seed=7)
     x = np.random.default_rng(13).normal(size=(1, 1, 16, 16, 8))
     coarse = _coarse_first_convs(net, x.shape)
@@ -259,19 +275,21 @@ def test_infer_is_forward_bit_for_bit_through_kn2row(monkeypatch):
     arena = (scratch.ctypes.data, scratch.nbytes)
     assert np.array_equal(M.infer(net, x), cold)
     assert (net.plan.scratch.region.ctypes.data, net.plan.scratch.region.nbytes) == arena
-    monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
-    net.schedule = None
+    _force_path(monkeypatch, K.PER_TAP)
+    net.schedule.clear()
     direct = M.forward(net, Tensor(x)).data
     assert calls["up"] == 2
     assert np.max(np.abs(want - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 @pytest.mark.parametrize("name, cfg", [
-    (M.UNET_BASELINE, M.ScaledConfig(16, 2, (16, 16, 8))),  # head: 32 -> 1 by 3x3x3
+    (M.UNET_BASELINE, M.ScaledConfig(16, 1, (16, 16, 8))),  # one upsample: head, 16 -> 1 by 3x3x3
     (M.PROPOSED, M.ScaledConfig(40, 2, (16, 16, 8))),  # both pyramid convs, 80 -> 40 and 80 -> 8
 ])
 def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
-    # coarse-first never needs more infer scratch than the upsample and conv it replaces
+    # coarse-first never needs more infer scratch than the upsample and conv it replaces;
+    # the cost model keeps these small convs per tap, so coarse-first is forced
+    _force_path(monkeypatch, K.COARSE_FIRST)
     x = np.random.default_rng(15).normal(size=(1, 1) + cfg.input_extents)
     net = M.build_network(name, cfg, seed=9)
     coarse = _coarse_first_convs(net, x.shape)
@@ -292,8 +310,9 @@ def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
 
     got = M.infer(net, x)
     arena = (net.plan.region.nbytes, net.plan.scratch.region.nbytes)
-    monkeypatch.setattr(M, "coarse_first", lambda spec, shape: False)
-    net.plan = net.schedule = None
+    _force_path(monkeypatch, K.PER_TAP)
+    net.plan = None
+    net.schedule.clear()
     want = M.infer(net, x)
     assert arena[0] < net.plan.region.nbytes  # the skipped upsamples' outputs take no arena
     assert arena[1] <= net.plan.scratch.region.nbytes
@@ -301,33 +320,58 @@ def test_kn2row_never_grows_infer_scratch(name, cfg, monkeypatch):
     assert max(infer_error(got, exact), infer_error(want, exact)) <= INFER_TOL
 
 
-# (c_in, c_out, coarse extents) of every conv the rule runs coarse-first, per net
+# (c_in, c_out, coarse extents) of every conv ``kernels.conv_path`` runs coarse-first,
+# per net and dtype: float64 is the taped forward's schedule, float32 infer's. Each
+# pick is the faster path of the BENCH_22.json sweep, or within 10% of it. The desk
+# net keeps every conv per tap at its training crop, so training does not move; at
+# the held-out extents infer runs its 16 -> 8 pyramid conv coarse-first.
+F64, F32 = np.dtype(np.float64), np.dtype(np.float32)
 _COARSE_FIRST_PINS = [
-    (M.PROPOSED, M.ScaledConfig(8, 3, (32, 32, 16)), []),  # desk training crop
-    (M.PROPOSED, M.ScaledConfig(8, 3, (64, 64, 32)), []),  # desk held-out volume
-    (M.UNET_BASELINE, M.ScaledConfig(8, 3, (32, 32, 16)), []),
-    (M.UNET_BASELINE, M.ScaledConfig(8, 3, (64, 64, 32)), []),
+    (M.PROPOSED, M.ScaledConfig(8, 3, (32, 32, 16)), {F64: [], F32: []}),  # desk training crop
+    (M.PROPOSED, M.ScaledConfig(8, 3, (64, 64, 32)),  # desk held-out volume
+     {F64: [(32, 8, (8, 8, 4)), (16, 8, (16, 16, 8))], F32: [(16, 8, (16, 16, 8))]}),
+    (M.UNET_BASELINE, M.ScaledConfig(8, 3, (32, 32, 16)),
+     {F64: [(32, 8, (8, 8, 4)), (16, 1, (16, 16, 8))], F32: [(16, 1, (16, 16, 8))]}),
+    (M.UNET_BASELINE, M.ScaledConfig(8, 3, (64, 64, 32)),
+     {F64: [(32, 16, (8, 8, 4)), (32, 8, (16, 16, 8)), (16, 1, (32, 32, 16))],
+      F32: [(32, 8, (16, 16, 8)), (16, 1, (32, 32, 16))]}),
     (M.PROPOSED, M.ScaledConfig(64, 5, (64, 64, 64)),  # paper width
-     [(512, 512, (1, 1, 1)), (1024, 256, (2, 2, 2)),
-      (512, 128, (4, 4, 4)), (256, 64, (8, 8, 8)), (128, 8, (16, 16, 16))]),
+     dict.fromkeys((F64, F32), [(512, 512, (1, 1, 1)), (1024, 256, (2, 2, 2)),
+                                (512, 128, (4, 4, 4)), (256, 64, (8, 8, 8)), (128, 8, (16, 16, 16))])),
     (M.UNET_BASELINE, M.ScaledConfig(16, 4, (64, 64, 64)),
-     [(128, 64, (4, 4, 4)), (128, 32, (8, 8, 8)), (32, 1, (32, 32, 32))]),
+     dict.fromkeys((F64, F32), [(128, 64, (4, 4, 4)), (128, 32, (8, 8, 8)), (64, 16, (16, 16, 16)),
+                                (32, 1, (32, 32, 32))])),
     (M.UNET_BASELINE, M.ScaledConfig(64, 6, (64, 64, 64)),
-     [(512, 512, (1, 1, 1)), (1024, 512, (2, 2, 2)),
-      (1024, 256, (4, 4, 4)), (512, 128, (8, 8, 8)), (256, 64, (16, 16, 16)),
-      (128, 1, (32, 32, 32))]),
+     dict.fromkeys((F64, F32), [(512, 512, (1, 1, 1)), (1024, 512, (2, 2, 2)),
+                                (1024, 256, (4, 4, 4)), (512, 128, (8, 8, 8)), (256, 64, (16, 16, 16)),
+                                (128, 1, (32, 32, 32))])),
 ]
 
 
 @pytest.mark.parametrize("name, cfg, pinned", _COARSE_FIRST_PINS)
 def test_coarse_first_rule_pins(name, cfg, pinned):
     net = M.build_network(name, cfg, seed=0)
-    coarse = _coarse_first_convs(net, (1, 1) + cfg.input_extents)
-    assert [(net.layers[c].spec.c_in, net.layers[c].spec.c_out, s[2:]) for _, c, s in coarse] == pinned
-    # a skipped upsample feeds only its conv
-    for up, conv, _ in coarse:
-        assert net.layers[up].kind == "upsample"
-        assert [i for i, layer in enumerate(net.layers) if up in layer.inputs] == [conv]
+    for dtype, want in pinned.items():
+        coarse = _coarse_first_convs(net, (1, 1) + cfg.input_extents, dtype)
+        assert [(net.layers[c].spec.c_in, net.layers[c].spec.c_out, s[2:])
+                for _, c, s in coarse] == want, dtype
+        # a skipped upsample feeds only its conv
+        for up, conv, _ in coarse:
+            assert net.layers[up].kind == "upsample"
+            assert [i for i, layer in enumerate(net.layers) if up in layer.inputs] == [conv]
+
+
+def test_infer_runs_the_held_out_pyramid_coarse_first_within_tolerance(monkeypatch):
+    # at 64x64x32 float32 infer runs the 16 -> 8 pyramid conv coarse-first; it stays
+    # within INFER_TOL of the float64 forward with every conv per tap
+    net = M.build_proposed(M.ScaledConfig(8, 3, (64, 64, 32)), seed=2)
+    x = np.random.default_rng(21).uniform(size=(1, 1, 64, 64, 32))
+    coarse = {net.layers[c].spec.c_in: s[2:] for _, c, s in _coarse_first_convs(net, x.shape, F32)}
+    assert coarse[16] == (16, 16, 8)
+    got = M.infer(net, x)
+    _force_path(monkeypatch, K.PER_TAP)
+    assert _coarse_first_convs(net, x.shape) == []
+    assert infer_error(got, M.forward(net, Tensor(x)).data) <= INFER_TOL
 
 
 def test_infer_replans_on_a_new_shape():
@@ -340,16 +384,21 @@ def test_infer_replans_on_a_new_shape():
 
 
 def test_schedule_is_walked_once_per_input_shape(monkeypatch):
-    shapes = []
+    # once per (shape, dtype): the taped forward (float64) and infer (float32) may
+    # run a conv on different paths, so each keeps its own schedule, and alternating
+    # them at one shape, as a training run that evaluates does, walks neither again
+    walks = []
     schedule = M._schedule
-    monkeypatch.setattr(M, "_schedule", lambda net, shape: shapes.append(shape) or schedule(net, shape))
+    monkeypatch.setattr(M, "_schedule", lambda net, shape, dtype: walks.append(
+        (shape, np.dtype(dtype).name)) or schedule(net, shape, dtype))
     net = M.build_proposed(DESK, seed=8)
     rng = np.random.default_rng(14)
     for extents in [(32, 32, 16)] * 3 + [(16, 32, 16)] * 2:
         x = rng.normal(size=(1, 1) + extents)
         M.forward(net, Tensor(x))
         M.infer(net, x)
-    assert shapes == [(1, 1, 32, 32, 16), (1, 1, 16, 32, 16)]
+    assert walks == [((1, 1, 32, 32, 16), "float64"), ((1, 1, 32, 32, 16), "float32"),
+                     ((1, 1, 16, 32, 16), "float64"), ((1, 1, 16, 32, 16), "float32")]
 
 
 def test_infer_reuses_its_arena():
@@ -365,7 +414,7 @@ def test_infer_reuses_its_arena():
 
 
 def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
-    # the second net runs both pyramid convs coarse-first, so upsamples are skipped too
+    # the first net runs a pyramid conv coarse-first in float32, so an upsample is skipped too
     for cfg in (M.ScaledConfig(8, 3, (64, 64, 32)), M.ScaledConfig(40, 2, (16, 16, 8))):
         net = M.build_proposed(cfg, seed=0)
         shape = (1, 1) + cfg.input_extents
@@ -375,7 +424,7 @@ def test_infer_plan_shares_memory_only_between_disjoint_lifetimes():
         views = [b.out for b in net.plan.buffers]
         # a skipped layer writes nothing and passes its input on, so the layer
         # whose output holds a value lives until the skipped layer's consumers read it
-        skipped = {up for up, _, _ in _coarse_first_convs(net, shape)}
+        skipped = {up for up, _, _ in _coarse_first_convs(net, shape, np.float32)}
         assert {i for i, v in enumerate(views) if v.size == 0} == skipped
         owner = []
         for layer_id, layer in enumerate(net.layers):

@@ -27,6 +27,23 @@ def test_count_flops_total_equals_row_sum():
     assert all(r.flops >= 0 for r in report.rows)
 
 
+def test_count_flops_reports_the_executed_gemm_flops_of_infer():
+    # at 64x64x32 float32 infer runs the 16 -> 8 pyramid conv coarse-first, its GEMMs
+    # on the 16x16x8 coarse grid: 1/8 of the defined FLOPs. A per-tap conv also
+    # multiplies its phase grid's padding columns, so it executes at least its defined FLOPs
+    net = build_proposed(ScaledConfig(8, 3, (64, 64, 32)), seed=0)
+    report = perf.count_flops(net, (64, 64, 32))
+    convs = [r for r in report.rows if r.kind == "conv"]
+    coarse = [r for r in convs if r.executed_flops < r.flops]
+    assert [(r.input_shape[1], r.output_shape[1]) for r in coarse] == [(16, 8)]
+    assert 8 * coarse[0].executed_flops == coarse[0].flops
+    assert all(r.executed_flops >= r.flops for r in convs if r not in coarse)
+    assert all(r.executed_flops == 0 for r in report.rows if r.kind != "conv")
+    assert report.total_executed_flops == sum(r.executed_flops for r in report.rows)
+    assert report.csv_lines()[-1].split(",")[5:] == [
+        str(report.total_flops), str(report.total_executed_flops), str(report.total_params)]
+
+
 def test_count_flops_only_convs_cost():
     net = build_proposed(DESK, seed=0)
     report = perf.count_flops(net, (32, 32, 16))

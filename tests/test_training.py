@@ -137,6 +137,32 @@ def test_preprocess_shared_window():
         assert np.array_equal(x.data, t.data)
 
 
+def test_preprocess_crops_as_pad_then_crop():
+    # the window is computed alone, bit for bit the crop of the converted and padded
+    # volumes; the draws include windows over the pad on every side and the rng
+    # stream is the one the formula draws from
+    for extents, crop in [((32, 32, 16), (32, 32, 16)), ((64, 64, 32), (32, 32, 16)),
+                          ((16, 16, 8), (4, 4, 2))]:
+        rng = np.random.default_rng(31)
+        pair = _pair(rng, extents=extents)
+        cfg = TR.TrainConfig(crop_extents=crop)
+        pads, padded = TR.check_crop(extents, cfg)
+        got_rng, want_rng = np.random.default_rng(32), np.random.default_rng(32)
+        over_pad = 0
+        for _ in range(60):
+            x, t = TR.preprocess(pair, cfg, got_rng)
+            offsets = [int(want_rng.integers(0, pe - c + 1)) for pe, c in zip(padded, crop)]
+            window = tuple(slice(o, o + c) for o, c in zip(offsets, crop))
+            want = [np.pad(TR.to_network_units(v.values), [(p, p) for p in pads])[window]
+                    for v in (pair.input, pair.target)]
+            if want_rng.random() < 0.5:
+                want.reverse()
+            assert x.data[0, 0].tobytes() == want[0].tobytes()
+            assert t.data[0, 0].tobytes() == want[1].tobytes()
+            over_pad += any(o < p or o + c > p + n for o, c, p, n in zip(offsets, crop, pads, extents))
+        assert over_pad > 0
+
+
 def test_preprocess_effective_pads():
     assert TR.effective_pads((256, 256, 64)) == (16, 16, 16)
     assert TR.effective_pads((32, 32, 16)) == (8, 8, 4)
